@@ -24,6 +24,11 @@ class _Builder:
         self.cfg = ProgramCFG()
         self._ids = itertools.count()
         self._sites = itertools.count(1)
+        #: Nodes per function name, in creation order, collected as
+        #: :meth:`_node` makes them.  Keyed by name, not definition: a
+        #: redefined function's ``FunctionCFG.nodes`` also lists the
+        #: earlier definition's nodes.
+        self._fn_nodes: dict[str, list[CFGNode]] = {}
 
     def build(self) -> ProgramCFG:
         for function in self.program.functions:
@@ -34,6 +39,7 @@ class _Builder:
 
     def _node(self, function: str, kind: str, **kwargs) -> CFGNode:
         node = CFGNode(id=next(self._ids), function=function, kind=kind, **kwargs)
+        self._fn_nodes.setdefault(function, []).append(node)
         return self.cfg.add_node(node)
 
     def _connect(self, preds: list[CFGNode], node: CFGNode) -> None:
@@ -53,9 +59,7 @@ class _Builder:
         self._break_frames: list[list[CFGNode]] = []
         frontier = self._build_stmt(function.body, [entry])
         self._connect(frontier, exit_node)
-        fcfg.nodes = [
-            node for node in self.cfg.nodes.values() if node.function == function.name
-        ]
+        fcfg.nodes = list(self._fn_nodes[function.name])
 
     # -- expressions --------------------------------------------------------------
 

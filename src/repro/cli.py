@@ -75,12 +75,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
             max_steps=args.budget_steps, max_seconds=args.budget_seconds
         )
     if args.engine in ("annotated", "both"):
-        flat = getattr(args, "flat", False)
         shards = getattr(args, "shards", 1)
-        if flat and args.traces:
-            print("error: --flat records no provenance; drop --traces",
-                  file=sys.stderr)
-            return 2
         if shards > 1 and args.traces:
             print("error: sharded solving records no provenance; "
                   "drop --traces", file=sys.stderr)
@@ -91,7 +86,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
             collapse_cycles=args.collapse_cycles,
             budget=budget,
             cycle_elim=not args.no_cycle_elim,
-            flat=flat,
+            # The flat core over the compiled algebra (§8) unless the
+            # run needs witnesses (provenance lives only in the object
+            # solver) or substitution environments (parametric
+            # properties have no compiled form).
+            flat=not args.traces and not prop.parametric_symbols,
             shards=shards,
             partition=getattr(args, "partition", "greedy"),
             # Verbose runs measure the difference-propagation invariant:
@@ -147,12 +146,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
               f"({len(result.error_nodes)} error node(s))")
         for node in result.error_nodes[: args.max_findings]:
             print(f"  error reachable at {node.describe()}")
-    has = (
-        AnnotatedChecker(cfg, prop).has_violation()
-        if args.engine == "mops"
-        else result.has_violation
-    )
-    return 1 if has else 0
+    return 1 if result.has_violation else 0
 
 
 def _cmd_dataflow(args: argparse.Namespace) -> int:
@@ -510,12 +504,12 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["annotated", "mops", "demand", "both"],
         default="annotated",
     )
-    check.add_argument("--traces", action="store_true", help="print witnesses")
     check.add_argument(
-        "--flat",
+        "--traces",
         action="store_true",
-        help="solve on the flat-array core (compiled algebra, no witness "
-        "provenance; incompatible with --traces)",
+        help="print witnesses (solves on the object core, which records "
+        "provenance; without it the flat core over the compiled algebra "
+        "runs)",
     )
     check.add_argument(
         "--shards",

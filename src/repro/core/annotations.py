@@ -37,21 +37,20 @@ suite uses to prove the two modes solve identically.
 
 from __future__ import annotations
 
+import importlib.util
 from typing import Any, Hashable, Iterable, Protocol, Sequence
 
 from repro.dfa.automaton import DFA, Symbol
 from repro.dfa.monoid import RepresentativeFunction, TransitionMonoid
 
-try:  # The optional ``fast`` extra (``pip install .[fast]``).
-    import numpy as _np
-except ImportError:  # pragma: no cover - environment-dependent
-    _np = None
-
-#: True when the vectorized ``then_many`` backends are available.  The
-#: flat solver core consults the per-algebra ``then_many`` attribute
-#: (``None`` when numpy is missing), so everything degrades to the
-#: pure-python composition loops without it.
-HAVE_NUMPY = _np is not None
+#: True when the vectorized ``then_many`` backends are available (the
+#: optional ``fast`` extra, ``pip install .[fast]``).  The flat solver
+#: core consults the per-algebra ``then_many`` attribute (``None`` when
+#: numpy is missing), so everything degrades to the pure-python
+#: composition loops without it.  numpy itself is imported by the first
+#: ``then_many`` call: most processes never compose a column that wide,
+#: and would otherwise pay numpy's import time and memory at start-up.
+HAVE_NUMPY = importlib.util.find_spec("numpy") is not None
 
 Annotation = Hashable
 
@@ -162,7 +161,7 @@ class CompiledMonoidAlgebra:
         # Vectorized column composition (built lazily on first use);
         # ``None`` advertises "no batch backend" to the flat core.
         self._np_table = None
-        if _np is None:
+        if not HAVE_NUMPY:
             self.then_many = None  # type: ignore[assignment]
 
     def size(self) -> int:
@@ -172,10 +171,12 @@ class CompiledMonoidAlgebra:
         """Compose ``anns[:hi]`` (a column of annotations) with one
         right-hand ``second`` — the numpy gather the flat core hands
         whole lower-bound columns to."""
+        import numpy as np
+
         table = self._np_table
         if table is None:
-            table = self._np_table = _np.asarray(self._table, dtype=_np.intp)
-        return table[_np.asarray(anns[:hi]), second].tolist()
+            table = self._np_table = np.asarray(self._table, dtype=np.intp)
+        return table[np.asarray(anns[:hi]), second].tolist()
 
     # -- conversions --------------------------------------------------------
 
@@ -375,7 +376,7 @@ class CompiledGenKillAlgebra:
         # The vectorized column compose works on int64 lanes; packed
         # annotations occupy 2*n_bits, so widths past 31 bits would
         # overflow the lane and must fall back to the scalar loop.
-        if _np is None or 2 * n_bits > 62:
+        if not HAVE_NUMPY or 2 * n_bits > 62:
             self.then_many = None  # type: ignore[assignment]
 
     # -- packing -------------------------------------------------------------
@@ -454,7 +455,9 @@ class CompiledGenKillAlgebra:
         g_forced = second & mask
         g_value = second >> n
         keep = ~g_forced & mask
-        arr = _np.array(anns[:hi], dtype=_np.int64)
+        import numpy as np
+
+        arr = np.array(anns[:hi], dtype=np.int64)
         out = ((arr & mask) | g_forced) | (
             (((arr >> n) & keep) | g_value) << n
         )

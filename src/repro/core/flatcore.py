@@ -148,7 +148,10 @@ class FlatSolver:
         # variable onto its representative (mirroring the object
         # solver's popped tables).  ``_pred`` holds only *identity*
         # predecessor ids — the sole consumer is the bounded cycle
-        # search, which only follows identity edges.
+        # search, which only follows identity edges.  It is an
+        # insertion-ordered dict, like the object solver's, so both
+        # searches visit predecessors in the same order and a search
+        # cut short by its bound finds the same cycles in either core.
         self._low_src: list[list[int] | None] = []
         self._low_ann: list[list[int] | None] = []
         self._low_set: list[set[int] | None] = []
@@ -158,7 +161,7 @@ class FlatSolver:
         self._succ_dst: list[list[int] | None] = []
         self._succ_ann: list[list[int] | None] = []
         self._succ_set: list[set[int] | None] = []
-        self._pred: list[set[int] | None] = []
+        self._pred: list[dict[int, None] | None] = []
         self._proj_rows: list[list[tuple[int, int, int, int]] | None] = []
         self._proj_set: list[set[tuple[int, int, int, int]] | None] = []
         #: Identity out-degree, maintained *monotonically* (never
@@ -636,7 +639,7 @@ class FlatSolver:
                 _t, winner, added = record
                 bucket = self._pred[winner]
                 for key in added:
-                    bucket.discard(key)
+                    bucket.pop(key, None)
             elif tag == "demerge":
                 (
                     _t,
@@ -695,7 +698,7 @@ class FlatSolver:
                     if ann == idk:
                         pbucket = pred[dst]
                         if pbucket is not None:
-                            pbucket.discard(vid)
+                            pbucket.pop(vid, None)
             elif kind == _UPPER:
                 snks = self._up_snk[vid]
                 anns = self._up_ann[vid]
@@ -868,8 +871,8 @@ class FlatSolver:
         if identity:
             pbucket = self._pred[dst]
             if pbucket is None:
-                pbucket = self._pred[dst] = set()
-            pbucket.add(src)
+                pbucket = self._pred[dst] = {}
+            pbucket[src] = None
             self._id_out[src] += 1
         if self._journal:
             self._journal[-1].append((_EDGE, src))
@@ -1075,14 +1078,14 @@ class FlatSolver:
         if pred:
             wbucket = self._pred[winner]
             if wbucket is None:
-                wbucket = self._pred[winner] = set()
+                wbucket = self._pred[winner] = {}
             find = self._find
             for raw in pred:
                 p = find(raw)
                 if p == winner:
                     continue
                 if p not in wbucket:
-                    wbucket.add(p)
+                    wbucket[p] = None
                     added.append(p)
         self._record(("predfold", winner, tuple(added)))
         self._record(

@@ -103,3 +103,35 @@ class TestCounts:
         cfg = build_cfg("void helper() { }")
         with pytest.raises(KeyError):
             _ = cfg.main
+
+
+class TestFunctionNodes:
+    """``FunctionCFG.nodes`` is collected as nodes are made; it must list
+    exactly what a scan of the finished graph by function name lists."""
+
+    @staticmethod
+    def _scanned(cfg, name):
+        return [node for node in cfg.nodes.values() if node.function == name]
+
+    def _assert_matches_scan(self, cfg):
+        for name, function in cfg.functions.items():
+            scanned = self._scanned(cfg, name)
+            assert [n.id for n in function.nodes] == [n.id for n in scanned]
+            assert all(a is b for a, b in zip(function.nodes, scanned))
+
+    @pytest.mark.parametrize("seed", [3, 11, 29])
+    def test_synth_packages(self, seed):
+        from repro.synth import PackageSpec, generate_package
+
+        source = generate_package(PackageSpec("pkg", 600, 12, seed=seed))
+        self._assert_matches_scan(build_cfg(source))
+
+    def test_redefined_function_lists_both_bodies(self):
+        from repro.synth import PackageSpec, generate_package
+
+        source = generate_package(PackageSpec("pkg", 400, 8, seed=5))
+        source += "void fn_2() { seteuid(0); }\n"
+        cfg = build_cfg(source)
+        self._assert_matches_scan(cfg)
+        nodes = cfg.functions["fn_2"].nodes
+        assert [n.kind for n in nodes].count("entry") == 2

@@ -1,0 +1,174 @@
+"""``repro check``: which core runs, and that the choice changes no verdict.
+
+Without ``--traces`` a non-parametric property is solved on the flat
+core over the compiled algebra; ``--traces`` (witnesses need
+provenance) and parametric properties (substitution environments have
+no compiled form) run on the object solver.  Every configuration must
+print the same findings, and those findings must be MOPS's error nodes.
+"""
+
+import re
+from collections import Counter
+
+import pytest
+
+import repro.cli
+from repro.cfg import build_cfg
+from repro.core.flatcore import FlatSolver
+from repro.core.solver import Solver
+from repro.modelcheck import PROPERTY_FACTORIES, AnnotatedChecker
+from repro.mops import MopsChecker
+from repro.synth import PackageSpec, generate_package
+
+#: One violation per property, called first thing in ``main``: chroot
+#: then open (chroot-jail), a double close (file-state), a double free
+#: (heap-state).  The generated package adds the privilege violations.
+_VIOLATIONS = """
+void jail() {
+  chroot("/var/empty");
+  int fd = open("/etc/passwd", 0);
+  close(fd);
+  close(fd);
+  int p = malloc(8);
+  free(p);
+  free(p);
+}
+"""
+
+PROPERTIES = sorted(PROPERTY_FACTORIES)
+
+
+@pytest.fixture(scope="module")
+def package(tmp_path_factory):
+    source = generate_package(PackageSpec("cli", 300, 6, seed=17))
+    source = _VIOLATIONS + source.replace("int main() {", "int main() {\n  jail();", 1)
+    path = tmp_path_factory.mktemp("check") / "pkg.c"
+    path.write_text(source)
+    return path
+
+
+def _run(capsys, path, prop, *flags):
+    code = repro.cli.main(
+        ["check", str(path), "--property", prop, "--max-findings", "100000", *flags]
+    )
+    lines = capsys.readouterr().out.splitlines()
+    return code, lines
+
+
+def _summary(lines):
+    return next(line for line in lines if line.startswith("[annotated]"))
+
+
+def _findings(lines):
+    return Counter(
+        line[len("  violation at "):]
+        for line in lines
+        if line.startswith("  violation at ")
+    )
+
+
+@pytest.fixture
+def built_checkers(monkeypatch):
+    """Record the checkers the CLI builds (their solvers tell the core)."""
+    built = []
+
+    class Recording(AnnotatedChecker):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(repro.cli, "AnnotatedChecker", Recording)
+    return built
+
+
+@pytest.mark.parametrize("prop", PROPERTIES)
+class TestDefaultCore:
+    def test_traces_change_no_finding(self, package, prop, capsys):
+        code, lines = _run(capsys, package, prop)
+        traced_code, traced = _run(capsys, package, prop, "--traces")
+        assert code == traced_code == 1
+        assert _summary(lines) == _summary(traced)
+        assert _findings(lines) == _findings(traced)
+
+    def test_findings_are_mops_error_nodes(self, package, prop, capsys):
+        _code, lines = _run(capsys, package, prop)
+        cfg = build_cfg(package.read_text())
+        mops = MopsChecker(cfg, PROPERTY_FACTORIES[prop]()).check()
+        # Parametric findings end in their binding, e.g. " [x=fd]".
+        nodes = Counter(
+            re.sub(r" \[[^\]]*\]$", "", where) for where in _findings(lines)
+        )
+        assert nodes == Counter(node.describe() for node in mops.error_nodes)
+
+    def test_core_choice(self, package, prop, capsys, built_checkers):
+        _run(capsys, package, prop)
+        _run(capsys, package, prop, "--traces")
+        default, traced = built_checkers
+        parametric = bool(PROPERTY_FACTORIES[prop]().parametric_symbols)
+        assert type(default.solver) is (Solver if parametric else FlatSolver)
+        assert type(traced.solver) is Solver
+
+    @pytest.mark.parametrize("flag", ["--collapse-cycles", "--no-cycle-elim"])
+    def test_solver_options_keep_verdicts(self, package, prop, flag, capsys):
+        code, lines = _run(capsys, package, prop)
+        flag_code, flagged = _run(capsys, package, prop, flag)
+        assert code == flag_code
+        assert _findings(lines) == _findings(flagged)
+
+
+@pytest.mark.parametrize(
+    "prop",
+    [p for p in PROPERTIES if not PROPERTY_FACTORIES[p]().parametric_symbols],
+)
+class TestFlatPath:
+    def test_verbose_reports_fixpoint_invariant(self, package, prop, capsys):
+        _code, lines = _run(capsys, package, prop, "-v")
+        assert "  fixpoint invariant: redundant_compositions == 0 [OK]" in lines
+
+    def test_budget_interrupts(self, package, prop, capsys):
+        code, _lines = _run(capsys, package, prop, "--budget-steps", "1")
+        assert code == 3
+
+
+def test_flat_flag_is_gone(package, capsys):
+    with pytest.raises(SystemExit) as exc:
+        repro.cli.main(
+            ["check", str(package), "--property", "full-privilege", "--flat"]
+        )
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --flat" in capsys.readouterr().err
+
+
+class TestMopsExitStatus:
+    """``--engine mops`` exits on MOPS's own verdict, without re-solving."""
+
+    @pytest.fixture(autouse=True)
+    def no_annotated_checker(self, monkeypatch):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("--engine mops built an AnnotatedChecker")
+
+        monkeypatch.setattr(repro.cli, "AnnotatedChecker", refuse)
+
+    def _check(self, tmp_path, source):
+        path = tmp_path / "prog.c"
+        path.write_text(source)
+        return repro.cli.main(
+            ["check", str(path), "--property", "simple-privilege", "--engine", "mops"]
+        )
+
+    def test_vulnerable_exits_1(self, tmp_path, capsys):
+        code = self._check(
+            tmp_path,
+            'int main() { seteuid(0); if (c) { seteuid(getuid()); } '
+            'execl("/bin/sh", 0); return 0; }',
+        )
+        assert code == 1
+        assert "[mops]      VIOLATION" in capsys.readouterr().out
+
+    def test_clean_exits_0(self, tmp_path, capsys):
+        code = self._check(
+            tmp_path,
+            'int main() { seteuid(0); seteuid(getuid()); execl("/x", 0); }',
+        )
+        assert code == 0
+        assert "[mops]      clean" in capsys.readouterr().out

@@ -115,6 +115,25 @@ class TestFlatEqualsObject:
         assert flat.fact_count() == obj.fact_count(), seed
         assert len(flat.inconsistencies) == len(obj.inconsistencies), seed
 
+    @pytest.mark.parametrize("bound", [2, 3])
+    @pytest.mark.parametrize("genkill", [False, True])
+    def test_same_merges_and_compositions_as_object_solver(self, bound, genkill):
+        # Both cores walk a variable's identity predecessors in insertion
+        # order, so a bounded cycle search gives up (or succeeds) at the
+        # same edge in either: they merge the same variables and compose
+        # equally often, not just reach the same solved form.  Tiny
+        # bounds make the search order decide which cycles are found.
+        counters = ("compositions", "vars_merged", "cycles_collapsed")
+        for seed in range(200):
+            algebra, constraints = _random_constraints(seed, genkill)
+            flat = FlatSolver(algebra, cycle_search_bound=bound)
+            flat.add_many(constraints)
+            obj = Solver(algebra, record_reasons=False, cycle_search_bound=bound)
+            obj.add_many(constraints)
+            assert [getattr(flat.stats, name) for name in counters] == [
+                getattr(obj.stats, name) for name in counters
+            ], seed
+
     @given(st.integers(min_value=0, max_value=100_000), st.booleans())
     @settings(max_examples=25, deadline=None)
     def test_interrupt_resume_reaches_same_fixpoint(self, seed, genkill):
@@ -320,6 +339,26 @@ class TestNumpyBackend:
         # Packed width beyond an int64 lane must fall back cleanly.
         wide = CompiledGenKillAlgebra(40)
         assert wide.then_many is None
+
+    def test_cli_import_leaves_numpy_unloaded(self):
+        # numpy is imported on the first wide-column composition, not at
+        # start-up: a fresh interpreter that loads the CLI (and with it
+        # every solver core) must not have paid for it.
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        probe = "import sys, repro.cli; print('numpy' in sys.modules)"
+        done = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert done.stdout.strip() == "False"
 
 
 class TestComposeShortCircuits:

@@ -252,3 +252,20 @@ class TestSpecializer:
         spec_path.write_text("start accept state A : | s -> A;\n")
         assert cli_main(["specialize", str(spec_path), "--compact"]) == 0
         assert '"compose"' in capsys.readouterr().out
+
+
+class TestVersion:
+    def test_package_metadata_matches_module(self):
+        # Python 3.10 has no tomllib; the [project] version line is
+        # simple enough for a regex.
+        import re
+        from pathlib import Path
+
+        import repro
+
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        found = re.search(
+            r'^version\s*=\s*"([^"]+)"', pyproject.read_text(), re.MULTILINE
+        )
+        assert found is not None
+        assert found.group(1) == repro.__version__
