@@ -42,13 +42,6 @@ families and writes a machine-readable result file:
   solved form equals both the pre-crash session and a cold solve, and
   gate the journaling overhead at 25% of the unjournaled per-edit
   median (full matrix; the floor is one fsync per edit).
-* ``privilege_sharded_k*`` — partitioned solving
-  (``repro.core.partition``): the privilege constraint graph split
-  into K regions, solved per region, and stitched by the cross-shard
-  lower-bound exchange.  Extra keys record the exchange rounds, the
-  facts exchanged, and per-shard facts/compositions/ratio rows
-  (``per_shard``); the equivalence pass asserts the stitched canonical
-  solved form equals both the flat and the object core's.
 * ``saturation_scaleout_w*`` — service throughput vs process worker
   count: concurrent clients drive distinct cold privilege checks
   through a :class:`repro.service.dispatch.DispatchPool` of 1/2/4
@@ -116,7 +109,6 @@ import json
 import pathlib
 import sys
 import time
-from typing import Any
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 if str(REPO_ROOT / "src") not in sys.path:
@@ -396,69 +388,6 @@ def run_edit_recovery(quick: bool) -> dict[str, dict]:
     return results
 
 
-def run_sharded(cfg, prop, quick: bool) -> dict[str, dict]:
-    """The ``privilege_sharded_*`` family: partition + stitch, one process.
-
-    Measured once per configuration (the partition and exchange are
-    deterministic, so run-to-run variance is solver wall time only).
-    Single-core sharding *loses* to the flat row — the exchange rounds
-    and the merge are pure overhead without parallel hardware — which
-    is exactly what the row should show; the win is that per-shard
-    solves are independent and ship to separate processes.
-
-    ``privilege_sharded_k*`` rows are the round-robin placement
-    baseline; ``privilege_sharded_greedy_k4`` runs the locality-aware
-    partitioner on the same workload and is *gated*: it must cut
-    strictly fewer frontier edges than round-robin at k=4, and both
-    placements must canonicalize to the unsharded solver's solved form.
-    """
-    reference = AnnotatedChecker(cfg, prop, compiled=True, flat=True)
-    reference.check()
-    unsharded_form = set(reference.solver.canonical_facts())
-
-    def solve(shards: int, partition: str) -> tuple[dict, Any]:
-        start = time.perf_counter()
-        checker = AnnotatedChecker(
-            cfg, prop, compiled=True, shards=shards, partition=partition
-        )
-        checker.check()
-        wall = time.perf_counter() - start
-        solution = checker.sharded
-        assert set(checker.solver.canonical_facts()) == unsharded_form, (
-            f"sharded solve (k={shards}, {partition}) diverged from the "
-            "unsharded canonical solved form"
-        )
-        per_shard = solution.shard_stats()
-        compositions = sum(row["compositions"] for row in per_shard)
-        facts = checker.solver.fact_count()
-        row = {
-            "wall_s": round(wall, 4),
-            "facts": facts,
-            "compositions": compositions,
-            "ratio": round(compositions / facts, 4) if facts else 0.0,
-            "rounds": solution.rounds,
-            "exchanged": solution.exchanged,
-            "partition": partition,
-            "frontier_edges": solution.plan.frontier_edges,
-            "per_shard": per_shard,
-        }
-        return row, solution
-
-    results: dict[str, dict] = {}
-    for shards in (2, 4):
-        results[f"privilege_sharded_k{shards}"], _ = solve(
-            shards, "roundrobin"
-        )
-    results["privilege_sharded_greedy_k4"], _ = solve(4, "greedy")
-    greedy_cut = results["privilege_sharded_greedy_k4"]["frontier_edges"]
-    rrobin_cut = results["privilege_sharded_k4"]["frontier_edges"]
-    assert greedy_cut < rrobin_cut, (
-        f"greedy partitioning cut {greedy_cut} frontier edge(s) vs "
-        f"round-robin's {rrobin_cut} — expected strictly fewer"
-    )
-    return results
-
-
 def run_saturation_scaleout(quick: bool) -> dict[str, dict]:
     """The ``saturation_scaleout_w*`` family: pool throughput vs workers.
 
@@ -538,92 +467,6 @@ def run_saturation_scaleout(quick: bool) -> dict[str, dict]:
             ">= 1.8x @ 4 workers gate needs >= 4 cores and was skipped "
             f"(measured {speedup:.2f}x)"
         )
-    return results
-
-
-def run_saturation_shm(cfg, prop, quick: bool) -> dict[str, dict]:
-    """The ``saturation_shm_w*`` family: zero-copy vs pickled transfer.
-
-    Each row solves the privilege workload sharded across a real
-    process pool twice — once with solved columns coming back as
-    shared-memory segment handles, once forced onto the pickled flat
-    dump (``REPRO_SHM_DISABLE``) — and records the wire bytes both
-    ways.  Gated: the shm path must move >= 10x fewer bytes (it moves
-    segment *names*; the dump moves every column), and both paths must
-    agree with the unsharded canonical solved form.
-    """
-    import os
-    from concurrent.futures import ProcessPoolExecutor
-
-    from repro.core import shm
-
-    reference = AnnotatedChecker(cfg, prop, compiled=True, flat=True)
-    reference.check()
-    unsharded_form = set(reference.solver.canonical_facts())
-
-    results: dict[str, dict] = {}
-    if not shm.shm_available():
-        print("saturation_shm: shared memory unavailable; family skipped")
-        return results
-    for workers in (2, 4):
-        transfers: dict[str, dict] = {}
-        walls: dict[str, float] = {}
-        facts = 0
-        compositions = 0
-        for mode in ("shm", "pickle"):
-            os.environ.pop(shm.DISABLE_ENV, None)
-            if mode == "pickle":
-                os.environ[shm.DISABLE_ENV] = "1"
-            try:
-                with ProcessPoolExecutor(max_workers=workers) as pool:
-                    start = time.perf_counter()
-                    checker = AnnotatedChecker(
-                        cfg,
-                        prop,
-                        compiled=True,
-                        shards=workers,
-                        shard_executor=pool,
-                        partition="greedy",
-                    )
-                    checker.check()
-                    walls[mode] = time.perf_counter() - start
-            finally:
-                os.environ.pop(shm.DISABLE_ENV, None)
-            solution = checker.sharded
-            assert solution.transfer["mode"] == mode, (
-                f"saturation_shm_w{workers}: expected {mode} transfer, "
-                f"measured {solution.transfer['mode']}"
-            )
-            assert set(checker.solver.canonical_facts()) == unsharded_form, (
-                f"saturation_shm_w{workers} ({mode}) diverged from the "
-                "unsharded canonical solved form"
-            )
-            transfers[mode] = solution.transfer
-            facts = checker.solver.fact_count()
-            compositions = sum(
-                row["compositions"] for row in solution.shard_stats()
-            )
-        shm_bytes = transfers["shm"]["bytes"]
-        pickle_bytes = transfers["pickle"]["bytes"]
-        reduction = pickle_bytes / shm_bytes if shm_bytes else float("inf")
-        assert reduction >= 10.0, (
-            f"saturation_shm_w{workers}: shm moved {shm_bytes} wire bytes "
-            f"vs pickle's {pickle_bytes} — only {reduction:.1f}x, "
-            "expected >= 10x"
-        )
-        results[f"saturation_shm_w{workers}"] = {
-            "wall_s": round(walls["shm"], 4),
-            "facts": facts,
-            "compositions": compositions,
-            "ratio": round(compositions / facts, 4) if facts else 0.0,
-            "workers": workers,
-            "transfer_bytes": shm_bytes,
-            "transfer_bytes_pickle": pickle_bytes,
-            "transfer_reduction_x": round(reduction, 1),
-            "shm_attaches": transfers["shm"]["shm_attaches"],
-            "pickle_fallbacks": transfers["shm"]["pickle_fallbacks"],
-            "wall_s_pickle": round(walls["pickle"], 4),
-        }
     return results
 
 
@@ -768,14 +611,6 @@ def run_matrix(quick: bool, repeats: int) -> dict[str, dict]:
     assert set(flat_priv.canonical_facts()) == set(obj_priv.canonical_facts()), (
         "flat core diverged from the object core on the privilege workload"
     )
-    sharded_priv = AnnotatedChecker(cfg, prop, compiled=True, shards=2)
-    sharded_priv.check()
-    assert set(sharded_priv.solver.canonical_facts()) == set(
-        flat_priv.canonical_facts()
-    ), (
-        "sharded solving diverged from the flat core on the privilege "
-        "workload — the stitched union is not the global closure"
-    )
     flat_gk = genkill(True, flat=True, track_redundant=True)
     obj_gk = genkill(True, track_redundant=True)
     assert set(flat_gk.canonical_facts()) == set(obj_gk.canonical_facts()), (
@@ -811,12 +646,8 @@ def run_matrix(quick: bool, repeats: int) -> dict[str, dict]:
     # -- durability: journaled edits + kill -9 recovery ------------------
     results.update(run_edit_recovery(quick))
 
-    # -- sharded solving + process-pool saturation -----------------------
-    results.update(run_sharded(cfg, prop, quick))
+    # -- process-pool saturation -----------------------------------------
     results.update(run_saturation_scaleout(quick))
-
-    # -- zero-copy result transfer: shm segment handles vs pickle --------
-    results.update(run_saturation_shm(cfg, prop, quick))
 
     for family in ("privilege", "genkill", "flow"):
         obj, comp = results[f"{family}_object"], results[f"{family}_compiled"]
@@ -866,36 +697,6 @@ def print_table(results: dict[str, dict]) -> None:
                 f"edit: patch beats cold {cold / patch:.1f}x, "
                 f"warm start {warm / patch:.1f}x (median per-edit latency)"
             )
-    if "privilege_sharded_k2" in results:
-        flat = results["privilege_compiled"]["wall_s"]
-        for shards in (2, 4):
-            row = results[f"privilege_sharded_k{shards}"]
-            print(
-                f"privilege_sharded_k{shards}: {row['rounds']} exchange "
-                f"round(s), {row['exchanged']} fact(s) exchanged, "
-                f"{row['wall_s'] / flat:.2f}x the flat row single-core "
-                "(the stitch overhead parallelism must amortize)"
-            )
-    if "privilege_sharded_greedy_k4" in results:
-        greedy = results["privilege_sharded_greedy_k4"]
-        rrobin = results["privilege_sharded_k4"]
-        print(
-            f"partition: greedy min-cut {greedy['frontier_edges']} frontier "
-            f"edge(s) vs round-robin {rrobin['frontier_edges']} at k=4 "
-            f"({greedy['exchanged']} vs {rrobin['exchanged']} fact(s) "
-            "exchanged)"
-        )
-    for workers in (2, 4):
-        name = f"saturation_shm_w{workers}"
-        if name not in results:
-            continue
-        row = results[name]
-        print(
-            f"{name}: {row['transfer_bytes']} wire byte(s) via shm handles "
-            f"vs {row['transfer_bytes_pickle']} pickled "
-            f"({row['transfer_reduction_x']:.1f}x reduction, "
-            f"{row['shm_attaches']} attach(es))"
-        )
     if "saturation_scaleout_w4" in results:
         w1 = results["saturation_scaleout_w1"]
         w4 = results["saturation_scaleout_w4"]

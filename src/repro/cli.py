@@ -75,11 +75,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
             max_steps=args.budget_steps, max_seconds=args.budget_seconds
         )
     if args.engine in ("annotated", "both"):
-        shards = getattr(args, "shards", 1)
-        if shards > 1 and args.traces:
-            print("error: sharded solving records no provenance; "
-                  "drop --traces", file=sys.stderr)
-            return 2
         checker = AnnotatedChecker(
             cfg,
             prop,
@@ -91,8 +86,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
             # solver) or substitution environments (parametric
             # properties have no compiled form).
             flat=not args.traces and not prop.parametric_symbols,
-            shards=shards,
-            partition=getattr(args, "partition", "greedy"),
             # Verbose runs measure the difference-propagation invariant:
             # at the fixpoint no (fact, edge) pair composes twice.
             track_redundant=args.verbose,
@@ -101,18 +94,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
         print(f"[annotated] {'VIOLATION' if result.has_violation else 'clean'} "
               f"({len(result.violations)} finding(s), "
               f"{result.facts} solved-form facts)")
-        if checker.sharded is not None and args.verbose:
-            solution = checker.sharded
-            print(f"  shards: {solution.shards} "
-                  f"(sizes {solution.plan.sizes}, "
-                  f"partition {solution.plan.partition}, "
-                  f"{solution.plan.frontier_edges} frontier edge(s)), "
-                  f"{solution.rounds} exchange round(s), "
-                  f"{solution.exchanged} fact(s) exchanged")
-            for row in solution.shard_stats():
-                print(f"    shard {row['shard']}: {row['facts']} facts, "
-                      f"{row['compositions']} compositions, "
-                      f"{row['frontier_edges']} frontier edge(s)")
         if args.verbose:
             for field, value in checker.solver.stats.as_dict().items():
                 print(f"  {field:22} {value}")
@@ -261,8 +242,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         journal_dir=args.journal_dir,
         journal_fsync_every=args.journal_fsync_batch,
         journal_compact_every=args.journal_compact_every,
-        shards=args.shards,
-        partition=args.partition,
     )
     if engine.recoveries:
         print(
@@ -346,8 +325,6 @@ def _serve_process_pool(args: argparse.Namespace, engine) -> int:
         engine,
         workers=args.workers,
         preload=preload,
-        shards=args.shards,
-        partition=args.partition,
         timeout=args.timeout,
         max_queue=args.max_queue,
         breaker_threshold=args.breaker_threshold,
@@ -359,8 +336,7 @@ def _serve_process_pool(args: argparse.Namespace, engine) -> int:
             f"repro service caught {signal.Signals(signum).name}; draining",
             file=sys.stderr,
         )
-        server._shutdown.set()
-        server._wake()
+        server.signal_shutdown()
 
     for signum in (signal.SIGTERM, signal.SIGINT):
         try:
@@ -370,7 +346,7 @@ def _serve_process_pool(args: argparse.Namespace, engine) -> int:
     bound_host, bound_port = server.start(host, port)
     print(
         f"repro service listening on {bound_host}:{bound_port} "
-        f"({args.workers} process worker(s), {args.shards} shard(s), "
+        f"({args.workers} process worker(s), "
         f"{len(preload)} preloaded propert{'y' if len(preload) == 1 else 'ies'})",
         file=sys.stderr,
     )
@@ -511,23 +487,6 @@ def build_parser() -> argparse.ArgumentParser:
         "provenance; without it the flat core over the compiled algebra "
         "runs)",
     )
-    check.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        metavar="K",
-        help="partition the constraint graph into K regions solved "
-        "independently and stitched to the same solved form "
-        "(repro.core.partition; no witness provenance)",
-    )
-    check.add_argument(
-        "--partition",
-        choices=["greedy", "roundrobin"],
-        default="greedy",
-        help="shard placement strategy: 'greedy' refines a locality-"
-        "aware min-cut (fewer frontier edges, smaller exchange); "
-        "'roundrobin' is the baseline — both reach the same solved form",
-    )
     check.add_argument("--collapse-cycles", action="store_true")
     check.add_argument(
         "--no-cycle-elim",
@@ -593,20 +552,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--tcp", metavar="HOST:PORT", help="listen on TCP instead of stdio"
     )
     serve.add_argument("--workers", type=int, default=4)
-    serve.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        metavar="K",
-        help="partition each cold solve into K stitched regions "
-        "(repro.core.partition)",
-    )
-    serve.add_argument(
-        "--partition",
-        choices=["greedy", "roundrobin"],
-        default="greedy",
-        help="shard placement strategy for cold solves (see 'check')",
-    )
     serve.add_argument(
         "--process-pool",
         action="store_true",

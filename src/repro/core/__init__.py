@@ -42,7 +42,6 @@ from repro.core.demand import (
     DemandSolution,
 )
 from repro.core.flatcore import FlatSolver
-from repro.core.partition import ShardedSolution, ShardPlan, plan_shards, solve_sharded
 from repro.core.queries import Reachability, least_solution_terms, trace_lower
 from repro.core.semantics import ReferenceSemantics, WordConstraint
 from repro.core.solver import Reason, Solver
@@ -90,8 +89,6 @@ __all__ = [
     "Reachability",
     "Reason",
     "ReferenceSemantics",
-    "ShardPlan",
-    "ShardedSolution",
     "Solver",
     "SubstitutionEnvironment",
     "UnannotatedAlgebra",
@@ -106,10 +103,8 @@ __all__ = [
     "ground",
     "least_solution_terms",
     "load_solver",
-    "plan_shards",
     "load_solver_snapshot",
     "read_snapshot",
-    "solve_sharded",
     "trace_lower",
     "write_snapshot",
     "write_solver_snapshot",

@@ -33,8 +33,7 @@ play.  Two deliberate non-goals:
 
 The flat layout is also what makes snapshots cheap: persistence dumps
 the raw columns (see ``repro.core.persist``), with no per-fact object
-encode on the way out — the ROADMAP's shard-stitching item builds on
-this.
+encode on the way out.
 """
 
 from __future__ import annotations
@@ -175,16 +174,6 @@ class FlatSolver:
         #: Difference propagation: drained-lowers high-water mark.
         self._lower_drained: list[int] = []
 
-        #: Variables whose columns are read-only views of a shared-memory
-        #: arena (:meth:`attach_columns`).  Reads index the views
-        #: directly; the first mutation routes through :meth:`_thaw`,
-        #: which copies that one variable's columns into plain lists.
-        self._frozen: set[int] = set()
-        #: The arena backing the frozen columns, if any — held so the
-        #: mapping outlives the views (the segment itself may already be
-        #: unlinked).
-        self._shm_arena: Any = None
-
         self._met: set[tuple[int, int, int]] = set()
         self.inconsistencies: list[Inconsistency] = []
         # Flat worklist: _W ints per record, consumed by advancing
@@ -251,170 +240,6 @@ class FlatSolver:
         self._term_args.append(args)
         self._term_key.setdefault((cid,) + args, tid)
         return tid
-
-    # -- shared-memory attach ----------------------------------------------------
-
-    def _thaw(self, vid: int) -> None:
-        """Materialize one attached variable's columns (copy-on-write).
-
-        Attached columns are read-only int64 views of a shared-memory
-        arena and ship without their dedupe membership sets.  Every
-        mutation path (the enqueues, cycle collapse, ``has_lower``)
-        funnels through here first, so exactly the variables that change
-        after attach pay the copy; the rest stay zero-copy views for the
-        solver's lifetime.
-        """
-        self._frozen.discard(vid)
-        span = self._span
-        srcs = self._low_src[vid]
-        if srcs is not None and type(srcs) is not list:
-            srcs = list(srcs)
-            anns = list(self._low_ann[vid])
-            self._low_src[vid] = srcs
-            self._low_ann[vid] = anns
-            self._low_set[vid] = {
-                srcs[i] * span + anns[i] for i in range(len(srcs))
-            }
-        snks = self._up_snk[vid]
-        if snks is not None and type(snks) is not list:
-            snks = list(snks)
-            anns = list(self._up_ann[vid])
-            self._up_snk[vid] = snks
-            self._up_ann[vid] = anns
-            self._up_set[vid] = {
-                snks[i] * span + anns[i] for i in range(len(snks))
-            }
-        dsts = self._succ_dst[vid]
-        if dsts is not None and type(dsts) is not list:
-            dsts = list(dsts)
-            anns = list(self._succ_ann[vid])
-            self._succ_dst[vid] = dsts
-            self._succ_ann[vid] = anns
-            self._succ_set[vid] = {
-                dsts[i] * span + anns[i] for i in range(len(dsts))
-            }
-        rows = self._proj_rows[vid]
-        if rows is not None and self._proj_set[vid] is None:
-            self._proj_set[vid] = set(rows)
-
-    def attach_columns(self, arena: Any) -> None:
-        """Adopt a solved form published by :mod:`repro.core.shm`.
-
-        The wire format is the flat core's own layout — prefix-offset
-        int64 columns plus the variable/term intern tables — so
-        attaching is interning (names, constructors, terms are
-        object-shaped and must exist as Python objects) plus *slicing*:
-        each variable's fact columns become views of the arena, marked
-        frozen for copy-on-write.  The membership sets, identity
-        predecessor index and cycle-search degree counters are *not*
-        reconstructed; they exist to dedupe and to sample cycles during
-        online solving, and the canonical solved form is independent of
-        both (the full identity-SCC quotient recomputes from the
-        columns).  Facts added after attach rebuild them per touched
-        variable via :meth:`_thaw`.
-
-        Requires a fresh solver (constructed with the dump's flags) and
-        an algebra matching the arena's fingerprint — the shm layer
-        checks the latter.
-        """
-        if self._vars or self._terms or self._wq:
-            raise ValueError("attach_columns requires a fresh solver")
-        meta = arena.meta
-        n_vars = meta["n_vars"]
-        n_terms = meta["n_terms"]
-        # Wire integer ids are positional: interning variables, then
-        # constructors, then terms in wire order reproduces them.
-        if n_vars:
-            for name in bytes(arena.section("varnames")).decode("utf-8").split(
-                "\n"
-            ):
-                self._intern_var(Variable(name))
-        for cdata in meta["ctors"]:
-            variance = (
-                tuple(cdata["variance"]) if cdata["variance"] is not None else None
-            )
-            self._intern_ctor(
-                Constructor(cdata["name"], cdata["arity"], variance)
-            )
-        term_ctor = arena.ints("term_ctor")
-        term_off = arena.ints("term_off")
-        term_args = arena.ints("term_args")
-        ctors = self._ctors
-        vars_ = self._vars
-        for tid in range(n_terms):
-            term = Constructed(
-                ctors[term_ctor[tid]],
-                tuple(
-                    vars_[a] for a in term_args[term_off[tid] : term_off[tid + 1]]
-                ),
-            )
-            if self._intern_term(term) != tid:
-                raise ValueError(
-                    f"column arena term table out of order at id {tid}"
-                )
-        frozen = self._frozen
-        low_off = arena.ints("low_off")
-        low_src = arena.ints("low_src")
-        low_ann = arena.ints("low_ann")
-        up_off = arena.ints("up_off")
-        up_snk = arena.ints("up_snk")
-        up_ann = arena.ints("up_ann")
-        succ_off = arena.ints("succ_off")
-        succ_dst = arena.ints("succ_dst")
-        succ_ann = arena.ints("succ_ann")
-        proj_off = arena.ints("proj_off")
-        proj_rows = arena.ints("proj_rows")
-        n_proj = 0
-        for vid in range(n_vars):
-            lo, hi = low_off[vid], low_off[vid + 1]
-            if hi > lo:
-                self._low_src[vid] = low_src[lo:hi]
-                self._low_ann[vid] = low_ann[lo:hi]
-                frozen.add(vid)
-            lo, hi = up_off[vid], up_off[vid + 1]
-            if hi > lo:
-                self._up_snk[vid] = up_snk[lo:hi]
-                self._up_ann[vid] = up_ann[lo:hi]
-                frozen.add(vid)
-            lo, hi = succ_off[vid], succ_off[vid + 1]
-            if hi > lo:
-                self._succ_dst[vid] = succ_dst[lo:hi]
-                self._succ_ann[vid] = succ_ann[lo:hi]
-                frozen.add(vid)
-            lo, hi = proj_off[vid], proj_off[vid + 1]
-            if hi > lo:
-                # Projection rows are 4-tuples the drain unpacks per
-                # element; decoding eagerly is cheaper than a tuple-view
-                # shim (projection columns are small next to the fact
-                # columns).  The set side still builds lazily in _thaw.
-                self._proj_rows[vid] = [
-                    (
-                        proj_rows[4 * i],
-                        proj_rows[4 * i + 1],
-                        proj_rows[4 * i + 2],
-                        proj_rows[4 * i + 3],
-                    )
-                    for i in range(lo, hi)
-                ]
-                n_proj += hi - lo
-                frozen.add(vid)
-        ufp = arena.ints("ufp")
-        for i in range(0, len(ufp), 2):
-            self._ufp[ufp[i]] = ufp[i + 1]
-        for src_tid, snk_tid, ann in meta.get("met", ()):
-            self._met.add((src_tid, snk_tid, ann))
-        terms = self._terms
-        for src_tid, snk_tid, ann in meta.get("incons", ()):
-            self.inconsistencies.append(
-                Inconsistency(terms[src_tid], terms[snk_tid], ann)
-            )
-        stats = self.stats
-        stats.lowers_added += len(low_src)
-        stats.uppers_added += len(up_snk)
-        stats.edges_added += len(succ_dst)
-        stats.projections_added += n_proj
-        self._shm_arena = arena
-        self._settle_loaded()
 
     # -- public API ------------------------------------------------------------
 
@@ -572,9 +397,6 @@ class FlatSolver:
         if vid is None:
             return False
         vid = self._find(vid) if self._ufp else vid
-        if self._frozen and vid in self._frozen:
-            # The membership set is not shipped over the wire; build it.
-            self._thaw(vid)
         bucket = self._low_set[vid]
         if not bucket:
             return False
@@ -823,8 +645,6 @@ class FlatSolver:
         ufp = self._ufp
         if ufp and var in ufp:
             var = self._find(var)
-        if self._frozen and var in self._frozen:
-            self._thaw(var)
         bucket = self._low_set[var]
         key = src * self._span + ann
         if bucket is None:
@@ -853,8 +673,6 @@ class FlatSolver:
                 dst = self._find(dst)
         if src == dst and ann == self._idk:
             return
-        if self._frozen and src in self._frozen:
-            self._thaw(src)
         bucket = self._succ_set[src]
         key = dst * self._span + ann
         if bucket is None:
@@ -896,8 +714,6 @@ class FlatSolver:
         ufp = self._ufp
         if ufp and var in ufp:
             var = self._find(var)
-        if self._frozen and var in self._frozen:
-            self._thaw(var)
         bucket = self._up_set[var]
         key = snk * self._span + ann
         if bucket is None:
@@ -928,8 +744,6 @@ class FlatSolver:
                 var = self._find(var)
             if target in ufp:
                 target = self._find(target)
-        if self._frozen and var in self._frozen:
-            self._thaw(var)
         bucket = self._proj_set[var]
         row = (ctor, index, target, ann)
         if bucket is None:
@@ -1023,13 +837,6 @@ class FlatSolver:
 
     def _collapse(self, cycle: list[int]) -> None:
         vars_ = self._vars
-        if self._frozen:
-            # Rehoming detaches loser columns into the undo journal and
-            # appends into the winner's; both sides must own their lists
-            # before that (arena views are read-only).
-            for vid in cycle:
-                if vid in self._frozen:
-                    self._thaw(vid)
         winner = min(cycle, key=lambda vid: vars_[vid].name)
         losers = [vid for vid in cycle if vid != winner]
         stats = self.stats

@@ -288,9 +288,6 @@ def dump_solver(solver: Solver | FlatSolver) -> str:
     algebra = solver.algebra
     if isinstance(algebra, CompiledMonoidAlgebra):
         algebra_tag = "compiled"
-        # Read the machine off the algebra, not its monoid: an algebra
-        # attached from a shared-memory arena (repro.core.shm) carries
-        # the compiled tables and the machine but no enumerated monoid.
         machine: DFA | None = algebra.machine
         to_object: Callable[[Any], Any] = algebra.decode
     elif isinstance(algebra, MonoidAlgebra):

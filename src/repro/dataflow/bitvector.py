@@ -18,8 +18,6 @@ program entry to ``s`` ends with the bit set.
 
 from __future__ import annotations
 
-from typing import Any
-
 from repro.cfg.graph import CFGNode, ProgramCFG
 from repro.core.budget import Budget
 from repro.core.annotations import (
@@ -59,16 +57,9 @@ class AnnotatedBitVectorAnalysis:
         flat: bool = False,
         budget: Budget | None = None,
         track_redundant: bool = False,
-        shards: int = 1,
-        shard_executor: Any | None = None,
     ):
         self.cfg = cfg
         self.problem = problem
-        self._shards = max(1, shards)
-        self._shard_executor = shard_executor
-        self._shard_budget = budget
-        #: The ShardedSolution when solved with ``shards > 1``.
-        self.sharded: Any | None = None
         if algebra is None:
             if compiled or flat:
                 algebra = CompiledGenKillAlgebra(problem.n_bits)
@@ -93,12 +84,7 @@ class AnnotatedBitVectorAnalysis:
             self._kill = bit_algebra.symbol("k")
             self._eps = bit_algebra.identity
         self.algebra = algebra
-        if self._shards > 1:
-            # Deferred: _encode routes the batch through
-            # repro.core.partition.solve_sharded (flat shards whenever
-            # the algebra is compiled) and installs the merged solver.
-            self.solver = None  # type: ignore[assignment]
-        elif flat:
+        if flat:
             if not self._compiled:
                 raise ValueError(
                     "flat=True needs the compiled gen/kill algebra "
@@ -153,18 +139,6 @@ class AnnotatedBitVectorAnalysis:
             annotation = self._annotation_of(node)
             for succ in cfg.successors(node):
                 batch.append((src, self.node_var(succ), annotation))
-        if self._shards > 1:
-            from repro.core.partition import solve_sharded
-
-            self.sharded = solve_sharded(
-                batch,
-                self.algebra,
-                shards=self._shards,
-                budget=self._shard_budget,
-                executor=self._shard_executor,
-            )
-            self.solver = self.sharded.merged()
-            return
         self.solver.add_many(batch)
 
     # -- queries -------------------------------------------------------------

@@ -165,24 +165,9 @@ class AnnotatedChecker:
         cycle_elim: bool = True,
         flat: bool = False,
         track_redundant: bool = False,
-        shards: int = 1,
-        shard_executor: Any | None = None,
-        partition: str = "greedy",
     ):
         self.cfg = cfg
         self.property = prop
-        self._shards = max(1, shards)
-        self._shard_executor = shard_executor
-        self._partition = partition
-        #: The :class:`repro.core.partition.ShardedSolution` when the
-        #: encoding was solved with ``shards > 1`` (None otherwise).
-        self.sharded: Any | None = None
-        if self._shards > 1 and solver is not None:
-            raise ValueError("shards and a warm-start solver are exclusive")
-        if self._shards > 1 and record_reasons:
-            # Sharded solves have no provenance (the merged view is
-            # installed, not derived); witness traces come back empty.
-            record_reasons = False
         if solver is not None:
             self.algebra = solver.algebra
             self.solver = solver
@@ -200,14 +185,7 @@ class AnnotatedChecker:
                 self.algebra = CompiledMonoidAlgebra(prop.machine)
             else:
                 self.algebra = MonoidAlgebra(prop.machine, eager=eager)
-            if self._shards > 1:
-                # Deferred: _encode routes the whole batch through
-                # repro.core.partition.solve_sharded and installs the
-                # merged solver (flat whenever the algebra is compiled).
-                self._shard_budget = budget
-                self._shard_cycle_elim = cycle_elim
-                self.solver = None  # type: ignore[assignment]
-            elif flat:
+            if flat:
                 # The flat-array core: int-indexed columns, no
                 # provenance (see :mod:`repro.core.flatcore`).
                 self.solver = FlatSolver(
@@ -288,23 +266,6 @@ class AnnotatedChecker:
             for succ in cfg.successors(node):
                 batch.append((src, self.node_var(succ), annotation, node))
         self._constraints = len(batch)
-        if self._shards > 1:
-            # Sharded solving: partition the encoded graph, solve the
-            # regions (optionally on an executor), stitch the frontier,
-            # and query the merged solved form.
-            from repro.core.partition import solve_sharded
-
-            self.sharded = solve_sharded(
-                batch,
-                self.algebra,
-                shards=self._shards,
-                cycle_elim=self._shard_cycle_elim,
-                budget=self._shard_budget,
-                executor=self._shard_executor,
-                partition=self._partition,
-            )
-            self.solver = self.sharded.merged()
-            return
         # One drain for the whole program instead of one per constraint.
         self.solver.add_many(batch)
 

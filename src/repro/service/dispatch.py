@@ -13,18 +13,14 @@ Design rules (see SERVICE.md "Scale-out"):
 * **Workers never journal.**  The parent process is the single writer
   for hot patch sessions; ``patch`` must not be routed here.  Worker
   engines are built with ``journal_dir=None``.
-* **Preload by fingerprint, attach don't recompile.**  The *parent*
-  resolves each preload name to its machine fingerprint once, publishes
-  the compiled composition tables to a shared-memory arena
-  (:mod:`repro.core.shm`), and ships ``(name, fingerprint, arena)``
-  triples to the initializer — so workers attach the parent's bytes
-  instead of recompiling, names sharing one machine warm exactly one
-  algebra (``preload.deduped`` counts the skips), and the compile cost
-  is paid once per *fingerprint* in one process, not once per name per
-  worker.  Unknown names are skipped (the lazy path will surface the
-  typed ``unsupported`` error to whichever request first asks); when
-  shm is unavailable the triple carries no arena and the worker
-  compiles locally, once per fingerprint.
+* **Preload by fingerprint.**  The *parent* resolves each preload
+  name to its machine fingerprint once and ships ``(name,
+  fingerprint)`` pairs to the initializer; each worker compiles one
+  algebra per *fingerprint*, so names sharing one machine warm exactly
+  one algebra (``preload.deduped`` counts the skips).  Compiling is
+  cheap next to a solve (milliseconds for the Table 1 properties).
+  Unknown names are skipped (the lazy path will surface the typed
+  ``unsupported`` error to whichever request first asks).
 * **Typed envelopes, never exceptions.**  ``_worker_execute`` returns
   ``{"ok": True, "result": ...}`` or ``{"ok": False, "code": ...,
   "message": ...}`` — an exception escaping the worker function would
@@ -77,19 +73,15 @@ def _init_worker(
     preload_spec: Sequence[tuple],
     cache_size: int,
     snapshot_dir: str | None,
-    shards: int,
-    partition: str,
 ) -> None:
     """Build this worker's engine and warm its per-property caches.
 
     Runs once per worker process.  ``preload_spec`` carries
-    ``(name, fingerprint, arena_name)`` triples resolved by the parent
+    ``(name, fingerprint)`` pairs resolved by the parent
     (:func:`_resolve_preload`): the fingerprint dedupes names sharing
-    one machine so the algebra is warmed once, and the arena name —
-    when present — attaches the parent's published composition tables
-    zero-copy instead of recompiling.  Preload failures are swallowed
-    per-property: a bad name must not brick the worker (the first
-    request for it gets the typed error instead).
+    one machine so the algebra is compiled once.  Preload failures are
+    swallowed per-property: a bad name must not brick the worker (the
+    first request for it gets the typed error instead).
     """
     global _WORKER_ENGINE
     # The parent owns worker lifecycle: a terminal Ctrl-C (delivered to
@@ -102,11 +94,9 @@ def _init_worker(
         cache_size=cache_size,
         snapshot_dir=snapshot_dir,
         journal_dir=None,  # single-writer rule: only the parent journals
-        shards=shards,
-        partition=partition,
     )
     resident: set[str] = set()
-    for name, fingerprint, arena_name in preload_spec:
+    for name, fingerprint in preload_spec:
         try:
             if fingerprint is not None and fingerprint in resident:
                 # Same machine as an earlier name: the algebra is
@@ -114,7 +104,7 @@ def _init_worker(
                 engine._property(name)
                 engine.metrics.incr("preload.deduped")
                 continue
-            resident.add(engine.preload_property(name, arena_name))
+            resident.add(engine.preload_property(name))
             engine.metrics.incr("preload.properties")
         except Exception:
             engine.metrics.incr("preload.failed")
@@ -161,49 +151,27 @@ def _worker_execute(op: str, params: dict) -> dict:
 # -- parent side --------------------------------------------------------------
 
 
-def _resolve_preload(
-    names: Sequence[str],
-) -> tuple[tuple[str, str | None, str | None], ...]:
-    """Resolve preload names to ``(name, fingerprint, arena)`` triples.
+def _resolve_preload(names: Sequence[str]) -> tuple[tuple[str, str | None], ...]:
+    """Resolve preload names to ``(name, fingerprint)`` pairs.
 
-    Runs once in the parent: each distinct machine fingerprint gets its
-    compiled algebra published to a shared-memory arena exactly once
-    (parametric properties and shm-less platforms get ``None`` — the
-    worker compiles locally).  Unresolvable names ride through with a
-    ``None`` fingerprint so the worker's lazy path still owns the typed
-    error.
+    Runs once in the parent and compiles nothing: the machine
+    fingerprint is a hash of the property's DFA.  Unresolvable names
+    ride through with a ``None`` fingerprint so the worker's lazy path
+    still owns the typed error.
     """
-    from repro.core import shm
     from repro.core.persist import machine_fingerprint
     from repro.modelcheck import PROPERTY_FACTORIES
 
-    spec: list[tuple[str, str | None, str | None]] = []
-    published: dict[str, str | None] = {}
+    spec: list[tuple[str, str | None]] = []
     for name in names:
         factory = PROPERTY_FACTORIES.get(name)
-        if factory is None:
-            spec.append((name, None, None))
-            continue
-        try:
-            prop = factory()
-            fingerprint = machine_fingerprint(prop.machine)
-        except Exception:
-            spec.append((name, None, None))
-            continue
-        if fingerprint not in published:
-            arena_name: str | None = None
-            if not prop.parametric_symbols and shm.shm_available():
-                try:
-                    from repro.core.annotations import CompiledMonoidAlgebra
-
-                    algebra = CompiledMonoidAlgebra(prop.machine)
-                    arena_name = shm.publish_algebra(
-                        algebra, fingerprint
-                    ).name
-                except Exception:
-                    arena_name = None
-            published[fingerprint] = arena_name
-        spec.append((name, fingerprint, published[fingerprint]))
+        fingerprint: str | None = None
+        if factory is not None:
+            try:
+                fingerprint = machine_fingerprint(factory().machine)
+            except Exception:
+                pass  # the worker's lazy path reports it, typed
+        spec.append((name, fingerprint))
     return tuple(spec)
 
 
@@ -212,10 +180,7 @@ class DispatchPool:
 
     ``preload`` names properties (keys of
     :data:`repro.modelcheck.PROPERTY_FACTORIES`) whose machines and
-    compiled algebras every worker warms at startup.  ``shards`` is
-    forwarded to each worker engine so cold solves inside a worker can
-    additionally partition the constraint graph
-    (:mod:`repro.core.partition`).
+    compiled algebras every worker warms at startup.
 
     Thread-safe: any number of server threads (or one selectors loop)
     may call :meth:`submit` / :meth:`execute` concurrently.
@@ -227,9 +192,7 @@ class DispatchPool:
         preload: Iterable[str] = (),
         cache_size: int = 64,
         snapshot_dir: str | None = None,
-        shards: int = 1,
         metrics: Metrics | None = None,
-        partition: str = "greedy",
     ):
         if workers < 1:
             raise ValueError("workers must be at least 1")
@@ -237,8 +200,6 @@ class DispatchPool:
         self.preload = tuple(preload)
         self.cache_size = cache_size
         self.snapshot_dir = snapshot_dir
-        self.shards = max(1, shards)
-        self.partition = partition
         #: Parent-side metrics (pool lifecycle events, dispatch counts).
         self.metrics = metrics if metrics is not None else Metrics()
         self._lock = threading.Lock()
@@ -249,35 +210,15 @@ class DispatchPool:
         #: total over all work the pool ever did.
         self._worker_metrics: dict[int, dict] = {}
         self.rebuilds = 0
-        #: Resolved once: fingerprints + published algebra arenas the
-        #: initializer attaches (satellite of the zero-copy design —
-        #: compile per fingerprint in the parent, map everywhere else).
+        #: Resolved once: the fingerprints every initializer dedupes by.
         self._preload_spec = _resolve_preload(self.preload)
         self._pool = self._new_pool()
 
     def _new_pool(self) -> ProcessPoolExecutor:
-        # Reap arenas orphaned by dead owners (a worker killed between
-        # publishing its result segment and the parent adopting it, or
-        # a previous crashed service) before spawning workers that will
-        # publish fresh ones.  Same sweep on every heal.
-        try:
-            from repro.core import shm
-
-            reaped = shm.cleanup_stale()
-            if reaped:
-                self.metrics.incr("shm.stale_reaped", reaped)
-        except Exception:
-            pass  # observability must not block pool construction
         return ProcessPoolExecutor(
             max_workers=self.workers,
             initializer=_init_worker,
-            initargs=(
-                self._preload_spec,
-                self.cache_size,
-                self.snapshot_dir,
-                self.shards,
-                self.partition,
-            ),
+            initargs=(self._preload_spec, self.cache_size, self.snapshot_dir),
         )
 
     # -- lifecycle -------------------------------------------------------------
@@ -425,8 +366,6 @@ class DispatchPool:
         return merged.snapshot()
 
     def stats(self) -> dict:
-        from repro.core import shm
-
         with self._lock:
             reporting = len(self._worker_metrics)
         return {
@@ -434,17 +373,5 @@ class DispatchPool:
             "pids": self.worker_pids(),
             "rebuilds": self.rebuilds,
             "preload": list(self.preload),
-            "shards": self.shards,
-            "partition": self.partition,
             "reporting": reporting,
-            "shm": {
-                "available": shm.shm_available(),
-                "arenas": list(
-                    dict.fromkeys(
-                        name
-                        for _n, _fp, name in self._preload_spec
-                        if name is not None
-                    )
-                ),
-            },
         }

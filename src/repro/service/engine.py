@@ -146,23 +146,10 @@ class AnalysisEngine:
         journal_fsync_every: int = 1,
         journal_compact_every: int = 256,
         recover: bool = True,
-        shards: int = 1,
-        partition: str = "greedy",
     ):
         if cache_size < 1:
             raise ValueError("cache_size must be at least 1")
         self.cache_size = cache_size
-        #: Cold solves with ``shards > 1`` partition the constraint
-        #: graph (:mod:`repro.core.partition`) and stitch the regions;
-        #: witness traces degrade to empty (no provenance in the merged
-        #: view).  Snapshot warm-starts are unaffected — a canonical
-        #: solved form is a function of the solution, not of how many
-        #: shards computed it.
-        self.shards = max(1, shards)
-        #: Placement strategy for sharded solves — "greedy" (locality-
-        #: aware min-cut refinement) or "roundrobin" (the baseline);
-        #: see :func:`repro.core.partition.plan_shards`.
-        self.partition = partition
         self.snapshot_dir = (
             pathlib.Path(snapshot_dir) if snapshot_dir is not None else None
         )
@@ -392,58 +379,15 @@ class AnalysisEngine:
         with self._lock:
             return self._algebras.setdefault(key, algebra)
 
-    def preload_property(self, name: str, arena_name: str | None = None) -> str:
+    def preload_property(self, name: str) -> str:
         """Warm the machine + compiled-algebra caches for one property.
 
-        ``arena_name`` optionally names a shared-memory arena
-        (:mod:`repro.core.shm`) carrying this property's compiled
-        composition tables: when it attaches cleanly the algebra
-        *indexes* the publisher's bytes instead of recompiling the
-        monoid — the zero-copy preload every pool worker takes.  Any
-        attach failure falls back to the local compile.  Returns the
-        machine fingerprint so callers can dedupe preload lists whose
-        properties share one machine.
+        Returns the machine fingerprint so callers can dedupe preload
+        lists whose properties share one machine.
         """
         prop, fingerprint = self._property(name)
-        key = (
-            ("param", fingerprint, tuple(sorted(prop.parametric_symbols)))
-            if prop.parametric_symbols
-            else ("compiled", fingerprint)
-        )
-        with self._lock:
-            if key in self._algebras:
-                self.metrics.incr("cache.machine.hits")
-                return fingerprint
-        if arena_name is not None and not prop.parametric_symbols:
-            try:
-                from repro.core import shm
-
-                algebra, _arena = shm.attach_algebra(
-                    arena_name, expected_fingerprint=fingerprint
-                )
-            except Exception:
-                pass  # stale/foreign arena: compile locally below
-            else:
-                self.metrics.incr("preload.shm_attached")
-                with self._lock:
-                    self._algebras.setdefault(key, algebra)
-                return fingerprint
         self._check_algebra(prop, fingerprint)
         return fingerprint
-
-    def _record_transfer(self, sharded: Any) -> None:
-        """Fold a ShardedSolution's transfer ledger into the metrics."""
-        transfer = getattr(sharded, "transfer", None)
-        if not transfer or transfer.get("mode") == "local":
-            return
-        self.metrics.incr("transfer.bytes", int(transfer.get("bytes", 0)))
-        self.metrics.incr(
-            "transfer.shm_attaches", int(transfer.get("shm_attaches", 0))
-        )
-        self.metrics.incr(
-            "transfer.pickle_fallbacks",
-            int(transfer.get("pickle_fallbacks", 0)),
-        )
 
     def _bitvector_algebra(self, n_bits: int) -> CompiledGenKillAlgebra:
         key = ("bitvector", n_bits)
@@ -574,10 +518,7 @@ class AnalysisEngine:
                 prop,
                 algebra=self._check_algebra(prop, fingerprint),
                 budget=budget,
-                shards=self.shards if not prop.parametric_symbols else 1,
-                partition=self.partition,
             )
-            self._record_transfer(checker.sharded)
             if snapshot is not None and not prop.parametric_symbols:
                 try:
                     self.snapshot_dir.mkdir(parents=True, exist_ok=True)
@@ -855,7 +796,6 @@ class AnalysisEngine:
                 algebra=self._bitvector_algebra(problem.n_bits),
                 flat=True,
                 budget=budget,
-                shards=self.shards,
             )
 
         entry = self._solve(key, build)
@@ -972,8 +912,6 @@ class AnalysisEngine:
         snapshot = self.metrics.snapshot()
         snapshot["cache"] = cache_info
         snapshot["solver"] = aggregate.as_dict()
-        snapshot["shards"] = self.shards
-        snapshot["partition"] = self.partition
         snapshot["protocol"] = protocol.PROTOCOL_VERSION
         snapshot["uptime_s"] = round(time.monotonic() - self.started_at, 3)
         snapshot["recoveries"] = self.recoveries

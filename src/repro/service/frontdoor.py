@@ -104,10 +104,10 @@ class AsyncAnalysisServer:
 
     ``engine`` is the *parent* engine: it owns the journal and serves
     ``patch`` and ``stats``; analysis ops run on ``pool`` (built here
-    when not supplied, with ``workers``/``preload``/``shards``/
-    ``partition`` forwarded).  The parent engine and the pool share one
-    :class:`Metrics` instance, so parent-side counters and the merged
-    worker snapshots land in the same ``stats`` report.
+    when not supplied, with ``workers``/``preload`` forwarded).  The
+    parent engine and the pool share one :class:`Metrics` instance, so
+    parent-side counters and the merged worker snapshots land in the
+    same ``stats`` report.
     """
 
     def __init__(
@@ -116,8 +116,6 @@ class AsyncAnalysisServer:
         pool: DispatchPool | None = None,
         workers: int = 2,
         preload: Iterable[str] = (),
-        shards: int = 1,
-        partition: str = "greedy",
         timeout: float | None = None,
         max_queue: int = 32,
         breaker_threshold: int = 5,
@@ -125,9 +123,7 @@ class AsyncAnalysisServer:
         metrics: Metrics | None = None,
     ):
         if engine is None:
-            engine = AnalysisEngine(
-                metrics=metrics, shards=shards, partition=partition
-            )
+            engine = AnalysisEngine(metrics=metrics)
         if max_queue < 0:
             raise ValueError(f"max_queue must be >= 0, got {max_queue!r}")
         self.engine = engine
@@ -137,9 +133,7 @@ class AsyncAnalysisServer:
                 workers=workers,
                 preload=preload,
                 cache_size=engine.cache_size,
-                shards=shards,
                 metrics=self.metrics,
-                partition=partition,
             )
         self.pool = pool
         self.timeout = timeout
@@ -194,6 +188,17 @@ class AsyncAnalysisServer:
             return
         while thread.is_alive():
             thread.join(timeout=0.2)
+
+    def signal_shutdown(self) -> None:
+        """Request shutdown without tearing anything down yet.
+
+        Safe to call from a signal handler: it sets the shutdown event
+        and pokes the self-pipe, so the loop starts draining and
+        :meth:`wait` returns once it has; the owning thread then runs
+        :meth:`close`.
+        """
+        self._shutdown.set()
+        self._wake()
 
     def close(self, drain_timeout: float = 5.0) -> None:
         """Stop the loop (draining in-flight responses) and the pools."""

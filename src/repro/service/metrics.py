@@ -20,19 +20,10 @@ seconds (and a count, so means can be derived).  The conventional keys:
   ``requests.budget_exceeded`` / ``breaker.open`` — resource-governance
   outcomes (admission-queue overflow, revoked work that stopped, budget
   exhaustion, circuit-breaker refusals);
-* ``transfer.bytes`` / ``transfer.shm_attaches`` /
-  ``transfer.pickle_fallbacks`` — cross-process result movement: wire
-  bytes actually copied (segment names under shm, whole dumps under
-  pickle), solved columns adopted zero-copy from a worker's
-  shared-memory segment, and solves that fell back to the pickled
-  flat dump;
-* ``preload.properties`` / ``preload.shm_attached`` /
-  ``preload.deduped`` / ``preload.failed`` — pool-worker warm-up:
-  algebras warmed, warmed by attaching the parent's published arena
-  instead of recompiling, names skipped because another name already
-  warmed the same machine fingerprint, and per-name failures;
-* ``shm.stale_reaped`` — orphaned shared-memory arenas unlinked at
-  pool build/heal (owners died without cleaning up);
+* ``preload.properties`` / ``preload.deduped`` / ``preload.failed`` —
+  pool-worker warm-up: algebras compiled, names skipped because another
+  name already warmed the same machine fingerprint, and per-name
+  failures;
 * timer ``solve`` — wall time spent building + solving systems (cache
   misses only); timer ``request`` — end-to-end handler time.
 

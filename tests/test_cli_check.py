@@ -139,6 +139,27 @@ def test_flat_flag_is_gone(package, capsys):
     assert "unrecognized arguments: --flat" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("check", ["--shards", "2"]),
+        ("check", ["--partition", "greedy"]),
+        ("serve", ["--shards", "2"]),
+        ("serve", ["--partition", "greedy"]),
+    ],
+    ids=["check-shards", "check-partition", "serve-shards", "serve-partition"],
+)
+def test_shard_flags_are_gone(package, capsys, command, flag):
+    """``check`` and ``serve`` have no sharding flags: argparse rejects them."""
+    argv = [command, *flag]
+    if command == "check":
+        argv = [command, str(package), "--property", "full-privilege", *flag]
+    with pytest.raises(SystemExit) as exc:
+        repro.cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestMopsExitStatus:
     """``--engine mops`` exits on MOPS's own verdict, without re-solving."""
 

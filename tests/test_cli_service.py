@@ -1,6 +1,11 @@
 """Tests for CLI error handling, --version, and the query/serve commands."""
 
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -131,3 +136,46 @@ class TestQueryAgainstServer:
             assert stats["counters"]["cache.solve.hits"] >= 1
         finally:
             server.close()
+
+
+class TestServeProcessPool:
+    def test_answers_then_stops_on_sigterm(self):
+        """``serve --process-pool`` end to end: start, answer, SIGTERM."""
+        from repro.service import ServiceClient
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "serve",
+                "--tcp", "127.0.0.1:0",
+                "--process-pool", "--workers", "1",
+                "--preload", "full-privilege",
+            ],
+            stderr=subprocess.PIPE,
+            env=env,
+            text=True,
+        )
+        try:
+            port = None
+            deadline = time.time() + 30
+            while port is None and time.time() < deadline:
+                line = proc.stderr.readline()
+                if not line:
+                    break
+                if "listening on" in line:
+                    address = line.split("listening on", 1)[1].split()[0]
+                    port = int(address.rsplit(":", 1)[1])
+            assert port is not None, "server never reported its port"
+            with ServiceClient("127.0.0.1", port) as client:
+                result = client.check(VULNERABLE, "full-privilege")
+            assert result["has_violation"] is True
+            proc.send_signal(signal.SIGTERM)
+            proc.wait(timeout=30)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=10)
+        assert proc.returncode == 0
+        assert "repro service stopped" in proc.stderr.read()

@@ -170,30 +170,27 @@ class TestSelfHealing:
 
 
 class TestPreloadSpec:
-    """Parent-resolved preload: one compile per fingerprint, shm attach."""
+    """Parent-resolved preload: one compile per fingerprint per worker."""
 
     def test_spec_resolves_fingerprints_once(self):
         from repro.service.dispatch import _resolve_preload
 
         spec = _resolve_preload(("full-privilege", "full-privilege"))
         assert len(spec) == 2
-        (n1, fp1, arena1), (n2, fp2, arena2) = spec
+        (n1, fp1), (n2, fp2) = spec
         assert n1 == n2 == "full-privilege"
         assert fp1 == fp2 and fp1 is not None
-        # The second name reuses the first's published arena.
-        assert arena1 == arena2
 
     def test_unknown_names_ride_through_unresolved(self):
         from repro.service.dispatch import _resolve_preload
 
         spec = _resolve_preload(("no-such-property",))
-        assert spec == (("no-such-property", None, None),)
+        assert spec == (("no-such-property", None),)
 
     def test_duplicate_fingerprints_warm_one_algebra(self):
         """Satellite: ``--preload`` with repeated machines must not
         recompile — the worker counts a dedupe, not a second warm."""
         import repro.service.dispatch as dispatch
-        from repro.core import shm
 
         spec = dispatch._resolve_preload(
             ("full-privilege", "full-privilege", "no-such")
@@ -204,39 +201,32 @@ class TestPreloadSpec:
             for signum in (signal.SIGINT, signal.SIGTERM)
         }
         try:
-            dispatch._init_worker(spec, 8, None, 1, "greedy")
-            metrics = dispatch._WORKER_ENGINE.metrics
+            dispatch._init_worker(spec, 8, None)
+            engine = dispatch._WORKER_ENGINE
+            metrics = engine.metrics
             assert metrics.get("preload.properties") == 1
             assert metrics.get("preload.deduped") == 1
             assert metrics.get("preload.failed") == 1  # the unknown name
-            if shm.shm_available():
-                assert metrics.get("preload.shm_attached") == 1
+            # One compiled algebra for the one fingerprint.
+            assert len(engine._algebras) == 1
         finally:
             dispatch._WORKER_ENGINE = saved_engine
             for signum, handler in saved_handlers.items():
                 signal.signal(signum, handler)
 
-    def test_pool_stats_report_shm_and_partition(self):
-        with DispatchPool(
-            workers=1, preload=["full-privilege"], partition="roundrobin"
-        ) as pool:
+    def test_pool_stats_have_no_shard_or_shm_keys(self):
+        with DispatchPool(workers=1, preload=["full-privilege"]) as pool:
             stats = pool.stats()
-            assert stats["partition"] == "roundrobin"
-            assert "shm" in stats
-            assert isinstance(stats["shm"]["available"], bool)
-            if stats["shm"]["available"]:
-                assert len(stats["shm"]["arenas"]) == 1
+            assert stats["preload"] == ["full-privilege"]
+            assert not {"shards", "partition", "shm"} & set(stats)
 
-    def test_preloaded_worker_answers_with_attached_algebra(self):
-        """End to end: a worker warmed via the arena solves correctly."""
+    def test_preloaded_worker_answers_with_warm_algebra(self):
+        """End to end: a preloaded worker solves on its warm algebra."""
         with DispatchPool(workers=1, preload=["full-privilege"]) as pool:
             result = pool.execute(
                 "check", {"program": PROGRAM, "property": "full-privilege"}
             )
             assert result["property"] == "full-privilege"
-            merged = pool.aggregate_metrics()
-            counters = merged.get("counters", {})
-            from repro.core import shm
-
-            if shm.shm_available():
-                assert counters.get("preload.shm_attached", 0) >= 1
+            counters = pool.aggregate_metrics().get("counters", {})
+            assert counters.get("preload.properties", 0) >= 1
+            assert counters.get("cache.machine.hits", 0) >= 1

@@ -343,7 +343,9 @@ class TestNumpyBackend:
     def test_cli_import_leaves_numpy_unloaded(self):
         # numpy is imported on the first wide-column composition, not at
         # start-up: a fresh interpreter that loads the CLI (and with it
-        # every solver core) must not have paid for it.
+        # every solver core) must not have paid for it.  Nor for the
+        # process-pool machinery, which only ``serve --process-pool``
+        # needs.
         import os
         import subprocess
         import sys
@@ -353,12 +355,16 @@ class TestNumpyBackend:
         src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
         env = dict(os.environ)
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        probe = "import sys, repro.cli; print('numpy' in sys.modules)"
+        heavy = ("numpy", "multiprocessing", "concurrent.futures.process")
+        probe = (
+            "import sys, repro.cli; "
+            f"print([m for m in {heavy!r} if m in sys.modules])"
+        )
         done = subprocess.run(
             [sys.executable, "-c", probe],
             env=env, capture_output=True, text=True, check=True,
         )
-        assert done.stdout.strip() == "False"
+        assert done.stdout.strip() == "[]"
 
 
 class TestComposeShortCircuits:

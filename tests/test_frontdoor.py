@@ -143,6 +143,12 @@ class TestRoundTrips:
         assert counters.get("pool.dispatched", 0) >= 1
         # Parent-side counters in the same report.
         assert counters.get("requests.total", 0) >= 2
+        # Every solve runs on one solver: no shard, partition or shm keys.
+        removed = {"shards", "partition", "shm"}
+        assert not removed & set(result)
+        assert not removed & set(result["pool"])
+        assert not [k for k in counters if k.startswith(("transfer.", "shm."))]
+        assert "preload.shm_attached" not in counters
 
 
 class TestAvailability:

@@ -189,6 +189,8 @@ class TestTCPTransport:
             assert counters["cache.solve.misses"] <= 4
             assert counters["requests.total"] >= len(kinds)
             assert stats["solver"]["rollbacks"] >= 1  # the what-if
+            # Every solve runs on one solver: no shard, partition or shm keys.
+            assert not {"shards", "partition", "shm"} & set(stats)
         finally:
             server.close()
 
