@@ -3,16 +3,14 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterator
+from typing import NamedTuple
 
 
 class LexError(ValueError):
     """Raised on input the lexer cannot tokenize."""
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     value: str
     line: int
@@ -39,16 +37,18 @@ KEYWORDS = {
     "const",
 }
 
+# One alternative per token kind, tried in order at each position.  A
+# ``skip`` match is a run of whitespace, comments and preprocessor
+# lines; the final ``error`` alternative matches any character the
+# others reject, so ``finditer`` never steps over input silently.
 _TOKEN_SPEC = [
-    ("comment", r"/\*.*?\*/|//[^\n]*"),
-    ("preproc", r"\#[^\n]*"),
-    ("newline", r"\n"),
-    ("ws", r"[ \t\r]+"),
+    ("skip", r"(?:[ \t\r\n]+|/\*.*?\*/|//[^\n]*|\#[^\n]*)+"),
     ("number", r"0[xX][0-9a-fA-F]+|\d+"),
     ("string", r'"(?:\\.|[^"\\])*"'),
     ("char", r"'(?:\\.|[^'\\])'"),
     ("ident", r"[A-Za-z_][A-Za-z0-9_]*"),
     ("op", r"->|\+\+|--|<<|>>|<=|>=|==|!=|&&|\|\||[-+*/%=<>!&|^~?:.,;(){}\[\]]"),
+    ("error", r"."),
 ]
 
 _MASTER_RE = re.compile(
@@ -56,29 +56,36 @@ _MASTER_RE = re.compile(
 )
 
 
-def tokenize(source: str) -> Iterator[Token]:
+def tokenize(source: str) -> list[Token]:
     """Tokenize mini-C source, skipping comments and preprocessor lines."""
+    tokens: list[Token] = []
+    append = tokens.append
     line = 1
-    pos = 0
-    length = len(source)
-    while pos < length:
-        match = _MASTER_RE.match(source, pos)
-        if match is None:
-            snippet = source[pos : pos + 20]
-            raise LexError(f"line {line}: cannot tokenize {snippet!r}")
+    # Branches in order of frequency on generated packages.
+    for match in _MASTER_RE.finditer(source):
         kind = match.lastgroup
-        text = match.group()
-        pos = match.end()
-        if kind == "newline":
-            line += 1
-            continue
-        if kind in ("ws", "preproc"):
-            continue
-        if kind == "comment":
-            line += text.count("\n")
-            continue
-        if kind == "ident" and text in KEYWORDS:
-            yield Token("kw", text, line)
+        if kind == "op":
+            append(Token("op", match.group(), line))
+        elif kind == "skip":
+            # Add only at a line break: ``line += 0`` would make a new int
+            # object, and the tokens (and AST nodes) of one line share one.
+            newlines = match.group().count("\n")
+            if newlines:
+                line += newlines
+        elif kind == "ident":
+            text = match.group()
+            append(Token("kw" if text in KEYWORDS else "ident", text, line))
+        elif kind == "number":
+            append(Token("number", match.group(), line))
+        elif kind == "error":
+            start = match.start()
+            snippet = source[start : start + 20]
+            raise LexError(f"line {line}: cannot tokenize {snippet!r}")
         else:
-            assert kind is not None
-            yield Token(kind, text, line)
+            # string or char literal: a backslash-newline inside it
+            # moves every later token down a line
+            text = match.group()
+            append(Token(kind, text, line))  # type: ignore[arg-type]
+            if "\n" in text:
+                line += text.count("\n")
+    return tokens

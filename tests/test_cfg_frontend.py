@@ -5,6 +5,8 @@ import pytest
 from repro.cfg import ast
 from repro.cfg.lexer import LexError, Token, tokenize
 from repro.cfg.parser import ParseError, parse_program
+from repro.synth import TABLE1_PACKAGES, PackageSpec, edit_stream, generate_package
+from tests import reference_parser
 
 
 class TestLexer:
@@ -39,6 +41,19 @@ class TestLexer:
     def test_lex_error(self):
         with pytest.raises(LexError):
             list(tokenize("int x = `;"))
+
+    def test_lex_error_message(self):
+        with pytest.raises(LexError, match=r"^line 2: cannot tokenize '`;'$"):
+            tokenize("int y;\nint x = `;")
+
+    def test_line_numbers_after_continued_string(self):
+        tokens = tokenize('log("started \\\n  now");\nseteuid(0);')
+        assert tokens[2] == Token("string", '"started \\\n  now"', 1)
+        assert [(t.value, t.line) for t in tokens[3:6]] == [(")", 2), (";", 2), ("seteuid", 3)]
+
+    def test_tokens_are_tuples(self):
+        assert tokenize("x") == [Token("ident", "x", 1)]
+        assert Token._fields == ("kind", "value", "line")
 
 
 class TestParser:
@@ -107,6 +122,27 @@ class TestParser:
         parse_program("int main() { return 0; x = 1; }")
 
     @pytest.mark.parametrize(
+        "literal, value", [("0755", 0o755), ("0", 0), ("0x1F", 31), ("0X1f", 31), ("42", 42)]
+    )
+    def test_integer_literals_follow_c(self, literal, value):
+        program = parse_program(f"int main() {{ x = {literal}; }}")
+        assert program.function("main").body.body[0].expr.value == ast.Number(1, value)
+
+    def test_octal_case_label(self):
+        program = parse_program(
+            "int main() {\n switch (m) { case 010: f(); break; default: g(); }\n}"
+        )
+        switch = program.function("main").body.body[0]
+        assert [case.value for case in switch.cases] == [8, None]
+
+    @pytest.mark.parametrize(
+        "source", ["int main() {\n  x = 08;\n}", "int main() {\n  switch (m) { case 09: ; }\n}"]
+    )
+    def test_invalid_octal_is_a_parse_error(self, source):
+        with pytest.raises(ParseError, match=r"^line 2: invalid integer literal '0[89]'$"):
+            parse_program(source)
+
+    @pytest.mark.parametrize(
         "source",
         [
             "int main() { ",
@@ -127,3 +163,31 @@ class TestCallsIn:
         stmt = program.function("main").body.body[0]
         calls = [c.callee for c in ast.calls_in(stmt.expr)]
         assert calls == ["b", "c", "a", "d"]
+
+
+def _table1_at_1k_lines():
+    return [
+        PackageSpec(
+            spec.name,
+            1_000,
+            max(8, spec.n_functions * 1_000 // spec.target_lines),
+            seed=spec.seed,
+            violation=spec.violation,
+        )
+        for spec in TABLE1_PACKAGES
+    ]
+
+
+class TestMatchesReference:
+    """The parser builds the same ASTs as the recursive-descent parser it
+    replaced (``tests/reference_parser.py``) on generated packages."""
+
+    @pytest.mark.parametrize("spec", _table1_at_1k_lines(), ids=lambda spec: spec.name)
+    def test_table1_packages(self, spec):
+        source = generate_package(spec)
+        assert parse_program(source) == reference_parser.parse_program(source)
+
+    def test_edit_stream(self):
+        spec = PackageSpec("edits", 1_000, 14, seed=4)
+        for step in edit_stream(spec, 3):
+            assert parse_program(step.source) == reference_parser.parse_program(step.source)

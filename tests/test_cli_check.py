@@ -160,6 +160,34 @@ def test_shard_flags_are_gone(package, capsys, command, flag):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+class TestFrontEnd:
+    """Source-level details the findings and diagnostics depend on."""
+
+    def test_lines_after_continued_string(self, tmp_path, capsys):
+        path = tmp_path / "log.c"
+        path.write_text(
+            'int main() {\n  log("started \\\n  now");\n  seteuid(0);\n'
+            '  system("sh");\n  return 0;\n}\n'
+        )
+        code, lines = _run(capsys, path, "full-privilege")
+        assert code == 1
+        assert _findings(lines) == Counter(["main:5", "main:6", "main:exit"])
+
+    def test_octal_file_mode(self, tmp_path, capsys):
+        path = tmp_path / "mode.c"
+        path.write_text("int main() { mode = 0755; chmod(mode); umask(022); return 0; }\n")
+        code, lines = _run(capsys, path, "simple-privilege")
+        assert code == 0
+        assert _summary(lines).startswith("[annotated] clean")
+
+    def test_invalid_octal_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.c"
+        path.write_text("int main() {\n  x = 08;\n}\n")
+        assert repro.cli.main(["check", str(path), "--property", "simple-privilege"]) == 2
+        err = capsys.readouterr().err
+        assert err == "repro: error: line 2: invalid integer literal '08'\n"
+
+
 class TestMopsExitStatus:
     """``--engine mops`` exits on MOPS's own verdict, without re-solving."""
 
