@@ -115,6 +115,10 @@ if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.cfg import build_cfg  # noqa: E402
+from repro.core.annotations import (  # noqa: E402
+    CompiledGenKillAlgebra,
+    CompiledMonoidAlgebra,
+)
 from repro.core.budget import Budget  # noqa: E402
 from repro.core.persist import dump_solver, load_solver  # noqa: E402
 from repro.dataflow import AnnotatedBitVectorAnalysis  # noqa: E402
@@ -482,10 +486,15 @@ def run_matrix(quick: bool, repeats: int) -> dict[str, dict]:
     prop = full_privilege_property()
 
     def privilege(mode: str, budget: Budget | None = None, **kwargs):
+        # Only diffprop passes the compiled algebra: "object" keeps the
+        # default monoid algebra and flat=True compiles its own.
+        algebra = (
+            CompiledMonoidAlgebra(prop.machine) if mode == "diffprop" else None
+        )
         checker = AnnotatedChecker(
             cfg,
             prop,
-            compiled=mode != "object",
+            algebra=algebra,
             flat=mode == "flat",
             record_reasons=mode == "object",
             budget=budget,
@@ -534,8 +543,9 @@ def run_matrix(quick: bool, repeats: int) -> dict[str, dict]:
     problem = call_tracking_problem(df_cfg, PRIMITIVES[:n_bits])
 
     def genkill(compiled: bool, flat: bool = False, **kwargs):
+        algebra = CompiledGenKillAlgebra(problem.n_bits) if compiled else None
         analysis = AnnotatedBitVectorAnalysis(
-            df_cfg, problem, compiled=compiled, flat=flat, **kwargs
+            df_cfg, problem, algebra=algebra, flat=flat, **kwargs
         )
         analysis.solution()
         return analysis.solver

@@ -3,8 +3,8 @@
 The rotate/swap/merge machine realizes every one of the ``|S|^|S|``
 functions, so ``|F_M^≡|`` is superexponential in the specification —
 the paper's worst case for bidirectional solving.  The same table also
-shows the unidirectional escape hatch: forward solving only ever needs
-``|S|`` derived annotations (Section 5.1).
+shows the forward escape hatch: the demand forward solver only ever
+needs ``|S|`` derived annotations (Section 5.1).
 """
 
 from __future__ import annotations
@@ -12,10 +12,9 @@ from __future__ import annotations
 import pytest
 
 from benchmarks._util import report, timed
-from repro.core.unidirectional import AnnotatedGraph, ForwardSolver
 from repro.dfa.gallery import adversarial_machine
 from repro.dfa.monoid import TransitionMonoid, monoid_size_lower_bound
-from repro.synth import random_annotated_graph
+from repro.synth import load_forward, random_annotated_graph
 from repro.synth.workloads import solve_bidirectional
 
 
@@ -71,12 +70,8 @@ def test_derived_annotation_counts():
                 per_source.setdefault(src, set()).add(ann)
             for anns in per_source.values():
                 bidi_max = max(bidi_max, len(anns))
-        graph = AnnotatedGraph(machine)
-        for u, v, word in workload.edges:
-            graph.add_edge(u, v, word)
-        forward = ForwardSolver(graph)
-        forward.solve(workload.sources)
-        fwd_max = max((len(s) for s in forward.states.values()), default=0)
+        forward = load_forward(machine, workload).solve("src")
+        fwd_max = forward.max_states_per_variable()
         rows.append(f"{n:4d} {n**n:7d} {bidi_max:19d} {fwd_max:18d}")
         assert fwd_max <= n
     report("E3_fig2_derived_annotations", rows)

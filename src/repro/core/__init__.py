@@ -56,12 +56,9 @@ from repro.core.terms import (
     constant,
     ground,
 )
-from repro.core.unidirectional import AnnotatedGraph, BackwardSolver, ForwardSolver
 
 __all__ = [
     "AnnotatedConstraintSystem",
-    "AnnotatedGraph",
-    "BackwardSolver",
     "Budget",
     "CancellationToken",
     "JournalCorrupt",
@@ -78,7 +75,6 @@ __all__ = [
     "Constructed",
     "Constructor",
     "FlatSolver",
-    "ForwardSolver",
     "GroundTerm",
     "Inconsistency",
     "MonoidAlgebra",

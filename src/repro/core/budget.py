@@ -14,7 +14,7 @@ both:
   optional token, charged by the solver drain loops.
 
 The contract with the drain loops (:meth:`repro.core.solver.Solver._drain`
-and the unidirectional solvers) is:
+and :meth:`repro.core.flatcore.FlatSolver._drain`) is:
 
 * limits are checked **between facts only** — at the start of a drain
   and then every :attr:`Budget.check_interval` processed facts — so an

@@ -143,8 +143,11 @@ class DemandForwardSolver:
         rhs: SetExpression,
         word: Iterable[Symbol] = (),
     ) -> None:
-        """Load one constraint of the supported forward fragment."""
-        word = tuple(word)
+        """Load one constraint of the supported forward fragment.
+
+        A word symbol outside the machine's alphabet raises ``ValueError``.
+        """
+        word = self._checked(word)
         if isinstance(lhs, Variable) and isinstance(rhs, Variable):
             src, dst = self.find(lhs), self.find(rhs)
             if src == dst and not word:
@@ -196,7 +199,14 @@ class DemandForwardSolver:
         self, name: str, var: Variable, word: Iterable[Symbol] = ()
     ) -> None:
         """Declare a constant source ``name ⊆^word var``."""
-        self._graph.sources.setdefault(name, []).append((var, tuple(word)))
+        self._graph.sources.setdefault(name, []).append((var, self._checked(word)))
+
+    def _checked(self, word: Iterable[Symbol]) -> tuple[Symbol, ...]:
+        word = tuple(word)
+        for sym in word:
+            if sym not in self.machine.alphabet:
+                raise ValueError(f"symbol {sym!r} not in the machine's alphabet")
+        return word
 
     # -- tabulation ----------------------------------------------------------------
 

@@ -41,7 +41,7 @@ class AnnotatedBitVectorAnalysis:
     recompiling the monoids): either a :class:`ProductAlgebra` of
     one-bit monoid algebras with exactly ``problem.n_bits`` components,
     or a :class:`CompiledGenKillAlgebra` of the same width.  With
-    ``compiled=True`` (and no shared algebra) the compiled packed-int
+    ``flat=True`` (and no shared algebra) the compiled packed-int
     domain is built here.
 
     Dataflow queries never extract witness traces, so the solver runs
@@ -53,7 +53,6 @@ class AnnotatedBitVectorAnalysis:
         cfg: ProgramCFG,
         problem: BitVectorProblem,
         algebra: ProductAlgebra | CompiledGenKillAlgebra | None = None,
-        compiled: bool = False,
         flat: bool = False,
         budget: Budget | None = None,
         track_redundant: bool = False,
@@ -61,7 +60,7 @@ class AnnotatedBitVectorAnalysis:
         self.cfg = cfg
         self.problem = problem
         if algebra is None:
-            if compiled or flat:
+            if flat:
                 algebra = CompiledGenKillAlgebra(problem.n_bits)
             else:
                 bit_algebra = MonoidAlgebra(one_bit_machine())
@@ -88,7 +87,7 @@ class AnnotatedBitVectorAnalysis:
             if not self._compiled:
                 raise ValueError(
                     "flat=True needs the compiled gen/kill algebra "
-                    "(pass compiled=True or a CompiledGenKillAlgebra)"
+                    "(pass a CompiledGenKillAlgebra or none)"
                 )
             self.solver: Solver | FlatSolver = FlatSolver(
                 self.algebra, budget=budget, track_redundant=track_redundant

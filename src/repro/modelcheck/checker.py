@@ -141,6 +141,10 @@ class AnnotatedChecker:
     ``algebra`` reuses a prebuilt annotation algebra (the analysis
     service caches one compiled monoid per property machine and shares
     it across checks); it must be an algebra over ``prop.machine``.
+    Without one the checker builds it: a :class:`ParametricAlgebra` for
+    a parametric property, else the compiled
+    :class:`CompiledMonoidAlgebra` (§8) when ``flat=True`` or a
+    :class:`MonoidAlgebra`.
 
     ``solver`` warm-starts the checker from an already-solved system
     (e.g. one reloaded via :func:`repro.core.persist.load_solver`):
@@ -155,11 +159,9 @@ class AnnotatedChecker:
         self,
         cfg: ProgramCFG,
         prop: Property,
-        eager: bool = True,
         collapse_cycles: bool = False,
         algebra: Any | None = None,
         solver: Solver | None = None,
-        compiled: bool = False,
         record_reasons: bool = True,
         budget: Budget | None = None,
         cycle_elim: bool = True,
@@ -178,13 +180,13 @@ class AnnotatedChecker:
                 self.algebra = algebra
             elif prop.parametric_symbols:
                 self.algebra = ParametricAlgebra(
-                    prop.machine, prop.parametric_symbols, eager=eager
+                    prop.machine, prop.parametric_symbols
                 )
-            elif compiled or flat:
+            elif flat:
                 # The §8 specializer: annotations become table indices.
                 self.algebra = CompiledMonoidAlgebra(prop.machine)
             else:
-                self.algebra = MonoidAlgebra(prop.machine, eager=eager)
+                self.algebra = MonoidAlgebra(prop.machine)
             if flat:
                 # The flat-array core: int-indexed columns, no
                 # provenance (see :mod:`repro.core.flatcore`).

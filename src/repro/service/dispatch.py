@@ -72,7 +72,7 @@ _WORKER_ENGINE: AnalysisEngine | None = None
 def _init_worker(
     preload_spec: Sequence[tuple],
     cache_size: int,
-    snapshot_dir: str | None,
+    snapshot_dir: str | os.PathLike | None,
 ) -> None:
     """Build this worker's engine and warm its per-property caches.
 
@@ -191,7 +191,7 @@ class DispatchPool:
         workers: int = 2,
         preload: Iterable[str] = (),
         cache_size: int = 64,
-        snapshot_dir: str | None = None,
+        snapshot_dir: str | os.PathLike | None = None,
         metrics: Metrics | None = None,
     ):
         if workers < 1:

@@ -104,7 +104,8 @@ class AsyncAnalysisServer:
 
     ``engine`` is the *parent* engine: it owns the journal and serves
     ``patch`` and ``stats``; analysis ops run on ``pool`` (built here
-    when not supplied, with ``workers``/``preload`` forwarded).  The
+    when not supplied, with ``workers``/``preload`` and the engine's
+    cache size and snapshot directory forwarded).  The
     parent engine and the pool share one :class:`Metrics` instance, so
     parent-side counters and the merged worker snapshots land in the
     same ``stats`` report.
@@ -133,6 +134,7 @@ class AsyncAnalysisServer:
                 workers=workers,
                 preload=preload,
                 cache_size=engine.cache_size,
+                snapshot_dir=engine.snapshot_dir,
                 metrics=self.metrics,
             )
         self.pool = pool

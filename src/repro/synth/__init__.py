@@ -13,6 +13,7 @@ from repro.synth.editstream import EditablePackage, EditStep, edit_stream
 from repro.synth.programs import PackageSpec, TABLE1_PACKAGES, generate_package
 from repro.synth.workloads import (
     cycle_chain,
+    load_forward,
     random_annotated_graph,
     random_constraint_system,
     solve_bidirectional,
@@ -26,6 +27,7 @@ __all__ = [
     "cycle_chain",
     "edit_stream",
     "generate_package",
+    "load_forward",
     "random_annotated_graph",
     "random_constraint_system",
     "solve_bidirectional",

@@ -4,9 +4,9 @@ Two generators:
 
 * :func:`random_annotated_graph` — an annotated variable/edge reachability
   instance over a given machine's alphabet, consumable both by the
-  bidirectional solver (as var ⊆^σ var constraints) and by the
-  forward/backward solvers — the instrument for measuring the
-  ``|F_M^≡|`` vs ``|S|`` derived-annotation gap.
+  bidirectional solver (:func:`solve_bidirectional`) and by the demand
+  forward solver (:func:`load_forward`) — the instrument for measuring
+  the ``|F_M^≡|`` vs ``|S|`` derived-annotation gap.
 * :func:`random_constraint_system` — a full set-constraint system with
   constructors and projections, for cubic-scaling measurements of the
   bidirectional solver.
@@ -21,6 +21,7 @@ import random
 from dataclasses import dataclass
 
 from repro.core.annotations import MonoidAlgebra
+from repro.core.demand import DemandForwardSolver
 from repro.core.solver import Solver
 from repro.core.terms import Constructor, Variable
 from repro.dfa.automaton import DFA
@@ -142,6 +143,24 @@ def solve_bidirectional(
         solver.add(source, variables[index])
     for src, dst, word in workload.edges:
         solver.add(variables[src], variables[dst], algebra.word(word))
+    return solver
+
+
+def load_forward(
+    machine: DFA, workload: AnnotatedGraphWorkload
+) -> DemandForwardSolver:
+    """Load an annotated-graph workload into the demand forward solver.
+
+    Every workload source is declared under the one source name
+    ``"src"``, so ``load_forward(...).solve("src")`` tabulates from all
+    of them at once.
+    """
+    solver = DemandForwardSolver(machine)
+    variables = [Variable(f"v{i}") for i in range(workload.n_vars)]
+    for index in workload.sources:
+        solver.add_source("src", variables[index])
+    for src, dst, word in workload.edges:
+        solver.add(variables[src], variables[dst], word)
     return solver
 
 

@@ -188,8 +188,10 @@ def table1_cfg():
 
 def test_compiled_checker_matches_object_on_table1_workload(table1_cfg):
     prop = full_privilege_property()
-    obj = AnnotatedChecker(table1_cfg, prop, compiled=False)
-    comp = AnnotatedChecker(table1_cfg, prop, compiled=True)
+    obj = AnnotatedChecker(table1_cfg, prop)
+    comp = AnnotatedChecker(
+        table1_cfg, prop, algebra=CompiledMonoidAlgebra(prop.machine)
+    )
     obj_result, comp_result = obj.check(), comp.check()
     assert obj_result.has_violation == comp_result.has_violation
     assert obj_result.violation_lines() == comp_result.violation_lines()
@@ -218,7 +220,12 @@ def test_compiled_checker_agrees_on_random_programs(seed):
     cfg = build_cfg(random_program(seed))
     prop = simple_privilege_property()
     obj = AnnotatedChecker(cfg, prop)
-    comp = AnnotatedChecker(cfg, prop, compiled=True, record_reasons=False)
+    comp = AnnotatedChecker(
+        cfg,
+        prop,
+        algebra=CompiledMonoidAlgebra(prop.machine),
+        record_reasons=False,
+    )
     assert obj.check().has_violation == comp.check().has_violation
     assert obj.solver.fact_count() == comp.solver.fact_count()
     assert _solved_form(obj.solver) == _solved_form(comp.solver)
@@ -230,7 +237,9 @@ def test_compiled_dataflow_agrees_on_random_programs(seed):
     cfg = build_cfg(random_program(seed))
     problem = call_tracking_problem(cfg, ["seteuid", "execl", "work"])
     tuples = AnnotatedBitVectorAnalysis(cfg, problem).solution()
-    packed = AnnotatedBitVectorAnalysis(cfg, problem, compiled=True).solution()
+    packed = AnnotatedBitVectorAnalysis(
+        cfg, problem, algebra=CompiledGenKillAlgebra(problem.n_bits)
+    ).solution()
     assert tuples == packed, f"seed {seed}"
 
 

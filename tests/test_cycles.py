@@ -6,7 +6,7 @@ here is *equivalence*: with elimination on and off, solvers must agree
 on the canonical (identity-SCC-quotient) solved form and on every
 verdict — across random systems, random programs, object and compiled
 algebras, mark/rollback, budget interruption, persistence, and the
-unidirectional and demand solvers.
+demand solvers.
 """
 
 import random
@@ -24,7 +24,6 @@ from repro.core.errors import SolverBudgetExceeded
 from repro.core.persist import dump_solver, load_solver
 from repro.core.solver import Solver
 from repro.core.terms import Constructor, Variable, constant
-from repro.core.unidirectional import AnnotatedGraph, BackwardSolver, ForwardSolver
 from repro.dfa.gallery import one_bit_machine, privilege_machine
 from repro.modelcheck import AnnotatedChecker, simple_privilege_property
 from repro.synth import cycle_chain, solve_bidirectional
@@ -77,7 +76,7 @@ class TestUnionFind:
 class TestFindIdentityCycle:
     def _pred(self, edges):
         # Buckets are iterables of (predecessor, annotation) pairs, the
-        # shape both the bidirectional and unidirectional solvers keep.
+        # shape both the bidirectional and demand solvers keep.
         pred = {}
         for src, dst, ann in edges:
             pred.setdefault(dst, []).append((src, ann))
@@ -246,9 +245,12 @@ class TestEquivalence:
     def test_object_and_compiled_agree_with_elim_on(self, seed):
         cfg = build_cfg(random_program(seed))
         prop = simple_privilege_property()
-        obj = AnnotatedChecker(cfg, prop, compiled=False).check().has_violation
+        obj = AnnotatedChecker(cfg, prop).check().has_violation
         comp = AnnotatedChecker(
-            cfg, prop, compiled=True, record_reasons=False
+            cfg,
+            prop,
+            algebra=CompiledMonoidAlgebra(prop.machine),
+            record_reasons=False,
         ).check().has_violation
         assert obj == comp, seed
 
@@ -376,73 +378,59 @@ class TestPersistenceWithMerges:
 
 
 # ---------------------------------------------------------------------------
-# unidirectional and demand solvers
+# demand solvers
 # ---------------------------------------------------------------------------
 
 
-class TestUnidirectionalElim:
-    def _graphs(self, seed):
-        machine = privilege_machine()
-        rng = random.Random(seed)
-        symbols = sorted(machine.alphabet)
-        n = rng.randrange(4, 10)
-        graphs = [
-            AnnotatedGraph(machine, cycle_elim=True),
-            AnnotatedGraph(machine, cycle_elim=False),
-        ]
-        for _ in range(rng.randrange(6, 30)):
-            a, b = rng.randrange(n), rng.randrange(n)
-            word = (rng.choice(symbols),) if rng.random() < 0.4 else ()
-            for graph in graphs:
-                graph.add_edge(f"n{a}", f"n{b}", word)
-        return graphs, n
-
-    @given(st.integers(min_value=0, max_value=100_000))
-    @settings(max_examples=40, deadline=None)
-    def test_forward_states_agree(self, seed):
-        (on, off), n = self._graphs(seed)
-        fwd_on, fwd_off = ForwardSolver(on), ForwardSolver(off)
-        fwd_on.solve(["n0"])
-        fwd_off.solve(["n0"])
-        for i in range(n):
-            assert fwd_on.states_of(f"n{i}") == fwd_off.states_of(f"n{i}"), seed
-
-    @given(st.integers(min_value=0, max_value=100_000))
-    @settings(max_examples=40, deadline=None)
-    def test_backward_classes_agree(self, seed):
-        (on, off), n = self._graphs(seed)
-        bwd_on, bwd_off = BackwardSolver(on), BackwardSolver(off)
-        bwd_on.solve([f"n{n - 1}"])
-        bwd_off.solve([f"n{n - 1}"])
-        for i in range(n):
-            assert bwd_on.classes_of(f"n{i}") == bwd_off.classes_of(f"n{i}"), seed
-
-
 class TestDemandElim:
+    @staticmethod
+    def _load(solver, ctor, constraints):
+        """Load all but the constant sources; return the variables named."""
+        variables = set()
+        for kind, a, b, word in constraints:
+            if kind == "lower":
+                continue  # constant sources are seeded separately
+            variables.update((a, b))
+            if kind == "edge":
+                solver.add(a, b, word)
+            elif kind == "wrap":
+                solver.add(ctor(a), b)
+            else:
+                solver.add(ctor.proj(1, a), b)
+        return variables
+
     @given(st.integers(min_value=0, max_value=100_000))
     @settings(max_examples=40, deadline=None)
     def test_forward_demand_states_agree(self, seed):
         machine, ctor, constraints = _random_constraints(seed)
         on = DemandForwardSolver(machine, cycle_elim=True)
         off = DemandForwardSolver(machine, cycle_elim=False)
-        variables = set()
-        for kind, a, b, word in constraints:
-            if kind == "lower":
-                continue  # constant sources are seeded separately below
-            variables.update((a, b))
-            for solver in (on, off):
-                if kind == "edge":
-                    solver.add(a, b, word)
-                elif kind == "wrap":
-                    solver.add(ctor(a), b)
-                elif kind == "unwrap":
-                    solver.add(ctor.proj(1, a), b)
+        variables = self._load(on, ctor, constraints)
+        self._load(off, ctor, constraints)
         if not variables:
             return
         seed_var = sorted(variables, key=lambda v: v.name)[0]
         on.add_source("c", seed_var)
         off.add_source("c", seed_var)
         sol_on, sol_off = on.solve("c"), off.solve("c")
+        for var in variables:
+            for matched in (False, True):
+                assert sol_on.states_of(var, matched) == sol_off.states_of(
+                    var, matched
+                ), (seed, var)
+
+    @given(st.integers(min_value=0, max_value=100_000))
+    @settings(max_examples=40, deadline=None)
+    def test_backward_demand_states_agree(self, seed):
+        machine, ctor, constraints = _random_constraints(seed)
+        on = DemandBackwardSolver(machine, cycle_elim=True)
+        off = DemandBackwardSolver(machine, cycle_elim=False)
+        variables = self._load(on, ctor, constraints)
+        self._load(off, ctor, constraints)
+        if not variables:
+            return
+        target = sorted(variables, key=lambda v: v.name)[-1]
+        sol_on, sol_off = on.solve_to(target), off.solve_to(target)
         for var in variables:
             for matched in (False, True):
                 assert sol_on.states_of(var, matched) == sol_off.states_of(

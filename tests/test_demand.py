@@ -1,14 +1,24 @@
-"""Tests for the demand-driven forward solver (Section 5 realized)."""
+"""Tests for the demand-driven forward solver (Section 5 realized).
+
+The key agreement property: on pure annotated reachability instances,
+the forward solver and the bidirectional solver must agree on "does a
+source reach a variable along a word of L(M)?" — while the number of
+derived annotations differs exactly as the paper predicts (|S| versus
+|F_M^≡|).
+"""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cfg import build_cfg
+from repro.core.annotations import MonoidAlgebra
 from repro.core.demand import DemandForwardSolver
 from repro.core.errors import ConstraintError
+from repro.core.solver import Solver
 from repro.core.terms import Constructor, Variable, constant
-from repro.dfa.gallery import adversarial_machine, privilege_machine
+from repro.dfa.gallery import adversarial_machine, one_bit_machine, privilege_machine
+from repro.dfa.regex import regex_to_dfa
 from repro.modelcheck import (
     AnnotatedChecker,
     DemandChecker,
@@ -17,7 +27,45 @@ from repro.modelcheck import (
     full_privilege_property,
     simple_privilege_property,
 )
+from repro.synth import load_forward, random_annotated_graph
 from tests.test_cross_validation import random_program
+
+MACHINES = {
+    "one_bit": one_bit_machine(),
+    "privilege": privilege_machine(),
+    "regex": regex_to_dfa("a(b|c)*d"),
+}
+
+
+def bidirectional_accepting(machine, workload):
+    """Ground truth via the bidirectional solver: which variables are
+    reached from a source along a word of L(M)?"""
+    algebra = MonoidAlgebra(machine)
+    solver = Solver(algebra)
+    variables = [Variable(f"v{i}") for i in range(workload.n_vars)]
+    marker = constant("src")
+    for index in workload.sources:
+        solver.add(marker, variables[index])
+    for u, v, word in workload.edges:
+        solver.add(variables[u], variables[v], algebra.word(word))
+    reached = set()
+    for i, var in enumerate(variables):
+        for src, ann in solver.lower_bounds(var):
+            if src == marker and algebra.is_accepting(ann):
+                reached.add(i)
+                break
+    return reached
+
+
+@st.composite
+def workload_cases(draw):
+    name = draw(st.sampled_from(sorted(MACHINES)))
+    machine = MACHINES[name]
+    n_vars = draw(st.integers(min_value=2, max_value=8))
+    n_edges = draw(st.integers(min_value=1, max_value=16))
+    seed = draw(st.integers(min_value=0, max_value=10_000))
+    workload = random_annotated_graph(machine, n_vars, n_edges, seed=seed)
+    return machine, workload
 
 
 class TestFragmentLoading:
@@ -39,6 +87,14 @@ class TestFragmentLoading:
         with pytest.raises(ConstraintError):
             self.solver.add(Variable("X"), box(Variable("Y")))
 
+    def test_alphabet_check(self):
+        solver = DemandForwardSolver(one_bit_machine())
+        x, y = Variable("X"), Variable("Y")
+        with pytest.raises(ValueError, match="'nope'"):
+            solver.add(x, y, ["g", "nope"])
+        with pytest.raises(ValueError, match="'nope'"):
+            solver.add_source("pc", x, ["nope"])
+
 
 class TestTabulation:
     def test_plain_chain(self):
@@ -53,6 +109,13 @@ class TestTabulation:
         assert error in solution.states_of(c)
         assert solution.reaches(c)
         assert not solution.reaches(b)
+
+    def test_dead_prefix_pruned(self):
+        solver = DemandForwardSolver(regex_to_dfa("ab"))
+        a, b = Variable("A"), Variable("B")
+        solver.add_source("pc", a)
+        solver.add(a, b, ["b"])  # 'b' first is a dead prefix
+        assert not solver.solve("pc").states_of(b)
 
     def test_wrap_unwrap_matching(self):
         machine = privilege_machine()
@@ -118,6 +181,18 @@ class TestTabulation:
                 solver.add(variables[i + 1], variables[i], [sym])
         solution = solver.solve("pc")
         assert solution.max_states_per_variable() <= machine.n_states
+
+
+@given(workload_cases())
+@settings(max_examples=80, deadline=None)
+def test_forward_agrees_with_bidirectional(case):
+    machine, workload = case
+    expected = bidirectional_accepting(machine, workload)
+    solution = load_forward(machine, workload).solve("src")
+    actual = {
+        i for i in range(workload.n_vars) if solution.reaches(Variable(f"v{i}"))
+    }
+    assert actual == expected
 
 
 class TestDemandChecker:

@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,6 +12,7 @@ from repro.core.demand import DemandBackwardSolver, DemandForwardSolver
 from repro.core.solver import Solver
 from repro.core.terms import Constructor, Variable, constant
 from repro.dfa.gallery import one_bit_machine, privilege_machine
+from tests.test_demand import bidirectional_accepting, workload_cases
 
 
 class TestBackwardBasics:
@@ -23,6 +25,11 @@ class TestBackwardBasics:
         solution = solver.solve_to(c)
         assert solver.can_reach(solution, a)
         assert not solver.can_reach(solution, b)
+
+    def test_alphabet_check(self):
+        solver = DemandBackwardSolver(one_bit_machine())
+        with pytest.raises(ValueError, match="'nope'"):
+            solver.add(Variable("X"), Variable("Y"), ["nope"])
 
     def test_through_wrap_and_unwrap(self):
         machine = privilege_machine()
@@ -100,6 +107,27 @@ def test_backward_agrees_with_forward_on_matched_reachability(seed):
             backward_solution, variables[0], matched_only=True
         )
         assert forward_hit == backward_hit, (seed, target)
+
+
+@given(workload_cases())
+@settings(max_examples=80, deadline=None)
+def test_backward_agrees_with_bidirectional_on_sources(case):
+    """Backward solving to every variable in turn: some source reaches
+    the target along a word of L(M) iff the bidirectional solver says
+    the target is reached from a source."""
+    machine, workload = case
+    expected = bidirectional_accepting(machine, workload)
+    solver = DemandBackwardSolver(machine)
+    variables = [Variable(f"v{i}") for i in range(workload.n_vars)]
+    for u, v, word in workload.edges:
+        solver.add(variables[u], variables[v], word)
+    for target in range(workload.n_vars):
+        solution = solver.solve_to(variables[target])
+        hits = any(
+            solver.can_reach(solution, variables[source])
+            for source in workload.sources
+        )
+        assert hits == (target in expected), target
 
 
 class TestOrderIndependence:

@@ -380,35 +380,6 @@ class TestComposeShortCircuits:
         assert product.compose_calls == 2
         assert product.compose_evals == 1  # second call hit the memo
 
-    def test_forward_solver_skips_repeated_compositions(self):
-        from repro.core.unidirectional import AnnotatedGraph, ForwardSolver
-
-        machine = privilege_machine()
-        graph = AnnotatedGraph(machine)
-        word = (sorted(machine.alphabet)[0],)
-        # A fan: many edges carrying the same word from one node, so
-        # the same (state, word) pair recurs across (fact, edge) pairs.
-        for i in range(6):
-            graph.add_edge("src", f"mid{i}", word)
-            graph.add_edge(f"mid{i}", "snk", word)
-        solver = ForwardSolver(graph)
-        solver.solve(["src"])
-        assert solver.compose_calls > solver.compose_evals
-        assert solver.compose_evals >= 1
-
-    def test_backward_solver_skips_repeated_preimages(self):
-        from repro.core.unidirectional import AnnotatedGraph, BackwardSolver
-
-        machine = privilege_machine()
-        graph = AnnotatedGraph(machine)
-        word = (sorted(machine.alphabet)[0],)
-        for i in range(6):
-            graph.add_edge("src", f"mid{i}", word)
-            graph.add_edge(f"mid{i}", "snk", word)
-        solver = BackwardSolver(graph)
-        solver.solve(["snk"])
-        assert solver.compose_calls > solver.compose_evals
-
     def test_demand_solver_skips_repeated_compositions(self):
         from repro.core.demand import DemandForwardSolver
 

@@ -15,7 +15,7 @@ import time
 
 import pytest
 
-from repro.service import protocol
+from repro.service import AnalysisEngine, protocol
 from repro.service.frontdoor import AsyncAnalysisServer
 
 PROGRAM = 'int main() { int fd = open("a"); close(fd); close(fd); return 0; }'
@@ -149,6 +149,29 @@ class TestRoundTrips:
         assert not removed & set(result["pool"])
         assert not [k for k in counters if k.startswith(("transfer.", "shm."))]
         assert "preload.shm_attached" not in counters
+
+
+class TestSnapshots:
+    def test_pool_writes_then_warm_loads_snapshots(self, tmp_path):
+        """``serve --process-pool --snapshot-dir DIR``: a check through
+        the front door leaves a snapshot in DIR, and a second server on
+        the same DIR warm-starts from it."""
+        params = {"program": PROGRAM, "property": "full-privilege"}
+        counters = []
+        for _ in range(2):
+            srv = AsyncAnalysisServer(
+                AnalysisEngine(snapshot_dir=tmp_path), workers=1, timeout=60.0
+            )
+            client = Client(*srv.start())
+            try:
+                assert client.rpc("check", params)["ok"]
+                counters.append(client.rpc("stats")["result"]["counters"])
+            finally:
+                client.close()
+                srv.close()
+            assert list(tmp_path.glob("check-*.json"))
+        assert counters[0].get("cache.snapshot.saved", 0) >= 1
+        assert counters[1].get("cache.snapshot.warm", 0) >= 1
 
 
 class TestAvailability:
