@@ -382,6 +382,44 @@ class TestPersistenceWithMerges:
 # ---------------------------------------------------------------------------
 
 
+class TestUnidirectionalElim:
+    """Pure annotated graphs, mostly identity edges, loaded twice."""
+
+    def _pair(self, solver_class, seed):
+        machine = privilege_machine()
+        rng = random.Random(seed)
+        symbols = sorted(machine.alphabet)
+        n = rng.randrange(4, 10)
+        solvers = (
+            solver_class(machine, cycle_elim=True),
+            solver_class(machine, cycle_elim=False),
+        )
+        for _ in range(rng.randrange(6, 30)):
+            a, b = rng.randrange(n), rng.randrange(n)
+            word = (rng.choice(symbols),) if rng.random() < 0.4 else ()
+            for solver in solvers:
+                solver.add(Variable(f"n{a}"), Variable(f"n{b}"), word)
+        return solvers, [Variable(f"n{i}") for i in range(n)]
+
+    @given(st.integers(min_value=0, max_value=100_000))
+    @settings(max_examples=40, deadline=None)
+    def test_forward_states_agree(self, seed):
+        (on, off), nodes = self._pair(DemandForwardSolver, seed)
+        for solver in (on, off):
+            solver.add_source("src", nodes[0])
+        sol_on, sol_off = on.solve("src"), off.solve("src")
+        for node in nodes:
+            assert sol_on.states_of(node) == sol_off.states_of(node), seed
+
+    @given(st.integers(min_value=0, max_value=100_000))
+    @settings(max_examples=40, deadline=None)
+    def test_backward_classes_agree(self, seed):
+        (on, off), nodes = self._pair(DemandBackwardSolver, seed)
+        sol_on, sol_off = on.solve_to(nodes[-1]), off.solve_to(nodes[-1])
+        for node in nodes:
+            assert sol_on.states_of(node) == sol_off.states_of(node), seed
+
+
 class TestDemandElim:
     @staticmethod
     def _load(solver, ctor, constraints):

@@ -380,6 +380,22 @@ class TestComposeShortCircuits:
         assert product.compose_calls == 2
         assert product.compose_evals == 1  # second call hit the memo
 
+    def test_forward_solver_skips_repeated_compositions(self):
+        from repro.synth import load_forward
+        from repro.synth.workloads import AnnotatedGraphWorkload
+
+        machine = privilege_machine()
+        word = (sorted(machine.alphabet)[0],)
+        # A fan: many edges carrying the same word from one node, so
+        # the same (state, word) pair recurs across (fact, edge) pairs.
+        edges = [(0, i, word) for i in range(1, 7)]
+        edges += [(i, 7, word) for i in range(1, 7)]
+        fan = AnnotatedGraphWorkload(n_vars=8, edges=edges, sources=[0], sinks=[7])
+        solver = load_forward(machine, fan)
+        solver.solve("src")
+        assert solver.compose_calls > solver.compose_evals
+        assert solver.compose_evals >= 1
+
     def test_demand_solver_skips_repeated_compositions(self):
         from repro.core.demand import DemandForwardSolver
 

@@ -1,155 +1,68 @@
-"""Tests for the forward/backward solvers (Section 5).
+"""Tests for the forward/backward solvers (Section 5) on annotated graphs.
 
-The key agreement property: on pure annotated reachability instances,
-the forward solver, the backward solver, and the bidirectional solver
-must agree on "does a source reach a sink along a word of L(M)?" —
-while the *number of derived annotations* differs exactly as the paper
-predicts (|S| or reversed-|S| versus |F_M^≡|).
+These instances are pure annotated reachability — variables and
+annotated edges, no constructors — the shape E3 and E10 load through
+``repro.synth.load_forward``.  The forward solver keeps at most |S|
+derived annotations per variable; the backward solver's annotations are
+states of the reversed machine, one per left-congruence class of path
+suffixes.  Agreement with the bidirectional solver is checked in
+``tests/test_demand.py`` and ``tests/test_demand_backward.py``.
 """
 
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
-from repro.core.annotations import MonoidAlgebra
-from repro.core.solver import Solver
-from repro.core.terms import Variable, constant
-from repro.core.unidirectional import AnnotatedGraph, BackwardSolver, ForwardSolver
+from repro.core.demand import DemandBackwardSolver
+from repro.core.terms import Variable
 from repro.dfa.gallery import adversarial_machine, one_bit_machine, privilege_machine
-from repro.dfa.regex import regex_to_dfa
-from repro.synth.workloads import random_annotated_graph
+from repro.synth import load_forward, random_annotated_graph
+from repro.synth.workloads import AnnotatedGraphWorkload
 
-MACHINES = {
-    "one_bit": one_bit_machine(),
-    "privilege": privilege_machine(),
-    "regex": regex_to_dfa("a(b|c)*d"),
-}
+CHAIN = AnnotatedGraphWorkload(
+    n_vars=3,
+    edges=[(0, 1, ("seteuid_zero",)), (1, 2, ("execl",))],
+    sources=[0],
+    sinks=[2],
+)
 
 
-def bidirectional_accepting(machine, workload):
-    """Ground truth via the bidirectional solver: which nodes are
-    reached from a source along a word of L(M)?"""
-    algebra = MonoidAlgebra(machine)
-    solver = Solver(algebra)
-    variables = [Variable(f"v{i}") for i in range(workload.n_vars)]
-    marker = constant("src")
-    for index in workload.sources:
-        solver.add(marker, variables[index])
-    for u, v, word in workload.edges:
-        solver.add(variables[u], variables[v], algebra.word(word))
-    reached = set()
-    for i, var in enumerate(variables):
-        for src, ann in solver.lower_bounds(var):
-            if src == marker and algebra.is_accepting(ann):
-                reached.add(i)
-                break
-    return reached
+def load_backward(machine, workload):
+    """The backward counterpart of ``load_forward``: every edge, no sources."""
+    solver = DemandBackwardSolver(machine)
+    for src, dst, word in workload.edges:
+        solver.add(Variable(f"v{src}"), Variable(f"v{dst}"), word)
+    return solver
 
 
 class TestForwardSolver:
     def test_simple_chain(self):
-        machine = privilege_machine()
-        graph = AnnotatedGraph(machine)
-        graph.add_edge("a", "b", ["seteuid_zero"])
-        graph.add_edge("b", "c", ["execl"])
-        solver = ForwardSolver(graph)
-        solver.solve(["a"])
-        assert solver.reachable_accepting("c")
-        assert not solver.reachable_accepting("b")
-
-    def test_dead_prefix_pruned(self):
-        machine = regex_to_dfa("ab")
-        graph = AnnotatedGraph(machine)
-        graph.add_edge("a", "b", ["b"])  # 'b' first is a dead prefix
-        solver = ForwardSolver(graph)
-        solver.solve(["a"])
-        assert not solver.states_of("b")
+        solution = load_forward(privilege_machine(), CHAIN).solve("src")
+        assert solution.reaches(Variable("v2"))
+        assert not solution.reaches(Variable("v1"))
 
     def test_derived_annotations_bounded_by_states(self):
         machine = adversarial_machine(4)
         workload = random_annotated_graph(machine, 12, 60, seed=5)
-        graph = AnnotatedGraph(machine)
-        for u, v, word in workload.edges:
-            graph.add_edge(u, v, word)
-        solver = ForwardSolver(graph)
-        solver.solve(workload.sources)
-        for node, states in solver.states.items():
-            assert len(states) <= machine.n_states
-
-    def test_alphabet_check(self):
-        graph = AnnotatedGraph(one_bit_machine())
-        import pytest
-
-        with pytest.raises(ValueError):
-            graph.add_edge("a", "b", ["nope"])
+        solution = load_forward(machine, workload).solve("src")
+        assert solution.variables()
+        for var in solution.variables():
+            assert len(solution.states_of(var)) <= machine.n_states
 
 
 class TestBackwardSolver:
     def test_simple_chain(self):
-        machine = privilege_machine()
-        graph = AnnotatedGraph(machine)
-        graph.add_edge("a", "b", ["seteuid_zero"])
-        graph.add_edge("b", "c", ["execl"])
-        solver = BackwardSolver(graph)
-        solver.solve(["c"])
-        assert solver.reaches_accepting("a")
-        assert not solver.reaches_accepting("b")
+        solver = load_backward(privilege_machine(), CHAIN)
+        solution = solver.solve_to(Variable("v2"))
+        assert solver.can_reach(solution, Variable("v0"))
+        assert not solver.can_reach(solution, Variable("v1"))
 
     def test_classes_are_state_sets(self):
         machine = one_bit_machine()
-        graph = AnnotatedGraph(machine)
-        graph.add_edge("a", "b", ["g"])
-        solver = BackwardSolver(graph)
-        solver.solve(["b"])
-        for classes in solver.classes.values():
-            for cls in classes:
-                assert cls <= frozenset(range(machine.n_states))
-
-
-@st.composite
-def workload_cases(draw):
-    name = draw(st.sampled_from(sorted(MACHINES)))
-    machine = MACHINES[name]
-    n_vars = draw(st.integers(min_value=2, max_value=8))
-    n_edges = draw(st.integers(min_value=1, max_value=16))
-    seed = draw(st.integers(min_value=0, max_value=10_000))
-    workload = random_annotated_graph(machine, n_vars, n_edges, seed=seed)
-    return machine, workload
-
-
-@given(workload_cases())
-@settings(max_examples=80, deadline=None)
-def test_forward_agrees_with_bidirectional(case):
-    machine, workload = case
-    expected = bidirectional_accepting(machine, workload)
-    graph = AnnotatedGraph(machine)
-    for u, v, word in workload.edges:
-        graph.add_edge(u, v, word)
-    for node in range(workload.n_vars):
-        graph.nodes.add(node)
-    solver = ForwardSolver(graph)
-    solver.solve(workload.sources)
-    actual = {n for n in range(workload.n_vars) if solver.reachable_accepting(n)}
-    assert actual == expected
-
-
-@given(workload_cases())
-@settings(max_examples=80, deadline=None)
-def test_backward_agrees_with_bidirectional_on_sources(case):
-    """Backward solving from every node as sink: a source node reaches
-    an accepting configuration iff the bidirectional solver says the
-    sink is reached from it."""
-    machine, workload = case
-    expected = bidirectional_accepting(machine, workload)
-    graph = AnnotatedGraph(machine)
-    for u, v, word in workload.edges:
-        graph.add_edge(u, v, word)
-    for node in range(workload.n_vars):
-        graph.nodes.add(node)
-    # For each node t: t ∈ expected iff some source reaches t acceptingly.
-    for target in range(workload.n_vars):
-        per_sink = BackwardSolver(graph)
-        per_sink.solve([target])
-        hits = any(
-            per_sink.reaches_accepting(source) for source in workload.sources
-        )
-        assert hits == (target in expected)
+        solver = DemandBackwardSolver(machine)
+        a, b = Variable("a"), Variable("b")
+        solver.add(a, b, ["g"])
+        solution = solver.solve_to(b)
+        reversed_machine = solver.reversed_machine
+        # Each variable's class of suffixes to b is the reversed-machine
+        # state reached on the reversed suffix.
+        assert solution.states_of(b) == {reversed_machine.start}
+        assert solution.states_of(a) == {reversed_machine.run(["g"])}
+        for var in solution.variables():
+            assert solution.states_of(var) <= set(range(reversed_machine.n_states))
