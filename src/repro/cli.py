@@ -28,6 +28,7 @@ with status 2 and a one-line diagnostic on stderr (no traceback).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from typing import Callable
@@ -45,6 +46,7 @@ from repro.dfa.gallery import (
 )
 from repro.dfa.monoid import TransitionMonoid
 from repro.dfa.spec import parse_spec
+from repro.gcpause import paused
 from repro.modelcheck import PROPERTY_FACTORIES, AnnotatedChecker
 from repro.mops import MopsChecker
 
@@ -114,13 +116,15 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if args.engine == "demand":
         from repro.modelcheck import DemandChecker
 
-        checker = DemandChecker(cfg, prop)
-        result_has = checker.has_violation()
-        print(f"[demand]    {'VIOLATION' if result_has else 'clean'} "
-              f"({len(checker.violation_nodes())} error node(s))")
-        for node in checker.violation_nodes()[: args.max_findings]:
+        checker = DemandChecker(
+            cfg, prop, cycle_elim=not args.no_cycle_elim, budget=budget
+        )
+        nodes = checker.violation_nodes()
+        print(f"[demand]    {'VIOLATION' if nodes else 'clean'} "
+              f"({len(nodes)} error node(s))")
+        for node in nodes[: args.max_findings]:
             print(f"  error reachable at {node.describe()}")
-        return 1 if result_has else 0
+        return 1 if nodes else 0
     if args.engine in ("mops", "both"):
         result = MopsChecker(cfg, prop).check()
         print(f"[mops]      {'VIOLATION' if result.has_violation else 'clean'} "
@@ -692,8 +696,13 @@ class CLIError(Exception):
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # A one-shot command's heap is freed by reference counting, so the
+    # cyclic collector only rescans it (see repro.gcpause).  The server
+    # lives on between requests: it pauses per request instead.
+    pause = contextlib.nullcontext() if args.command == "serve" else paused()
     try:
-        return args.handler(args)
+        with pause:
+            return args.handler(args)
     except CLIError as exc:
         print(f"repro: error: {exc}", file=sys.stderr)
         return 2

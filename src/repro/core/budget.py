@@ -32,6 +32,11 @@ and :meth:`repro.core.flatcore.FlatSolver._drain`) is:
   checkpoint dump followed by a later load — picks up exactly where the
   interrupted solve stopped.
 
+:meth:`repro.core.demand.DemandForwardSolver.solve` charges the same
+way between path edges, with one difference: its tabulation lives only
+in that call, so an interrupted forward solve is discarded, not
+resumed.
+
 A :class:`Budget` is single-use in spirit but deliberately reusable
 across drains of one logical solve: ``steps`` accumulates over every
 drain it governs, which is what makes ``max_steps`` meaningful for the

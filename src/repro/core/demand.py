@@ -32,8 +32,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Hashable, Iterable
 
+from repro.core.budget import Budget
 from repro.core.cycles import DEFAULT_SEARCH_BOUND, UnionFind, find_identity_cycle
 from repro.core.errors import ConstraintError
 from repro.core.terms import (
@@ -90,7 +92,8 @@ class DemandForwardSolver:
         self._live = machine.coreachable_states()
         self._graph = _Graph()
         self._uf = UnionFind()
-        # Reverse index of empty-word plain edges, for cycle detection.
+        # Reverse index of empty-word plain edges, for cycle detection
+        # (filled only with cycle_elim on: nothing else reads it).
         self._eps_pred: dict[Variable, list[tuple[Variable, tuple]]] = {}
         #: Composition accounting across :meth:`solve` calls: the same
         #: fact tabulated at two anchors used to re-run every successor
@@ -153,19 +156,18 @@ class DemandForwardSolver:
             if src == dst and not word:
                 return  # an empty-word self-loop adds nothing
             self._graph.plain.setdefault(src, []).append((dst, word))
-            if not word:
+            if not word and self.cycle_elim:
                 self._eps_pred.setdefault(dst, []).append((src, ()))
-                if self.cycle_elim:
-                    cycle = find_identity_cycle(
-                        self._eps_pred,
-                        self.find,
-                        _empty_word,
-                        src,
-                        dst,
-                        self.cycle_search_bound,
-                    )
-                    if cycle is not None:
-                        self._collapse(cycle)
+                cycle = find_identity_cycle(
+                    self._eps_pred,
+                    self.find,
+                    _empty_word,
+                    src,
+                    dst,
+                    self.cycle_search_bound,
+                )
+                if cycle is not None:
+                    self._collapse(cycle)
             return
         if isinstance(lhs, Constructed) and isinstance(rhs, Variable):
             if word:
@@ -210,8 +212,22 @@ class DemandForwardSolver:
 
     # -- tabulation ----------------------------------------------------------------
 
-    def solve(self, source: str) -> "DemandSolution":
-        """Tabulate all facts induced by one source constant."""
+    def solve(
+        self, source: str, budget: Budget | None = None
+    ) -> "DemandSolution":
+        """Tabulate all facts induced by one source constant.
+
+        ``budget`` governs the tabulation under the contract of
+        :mod:`repro.core.budget`: it is charged before the first path
+        edge and then every ``check_interval`` path edges, and an
+        exhausted limit or a cancelled token raises
+        :class:`~repro.core.errors.SolverBudgetExceeded` or
+        :class:`~repro.core.errors.SolverCancelled` with the progress so
+        far (``facts`` counts path edges, ``pending`` the worklist).
+        Unlike the bidirectional drains, an interrupted forward solve
+        cannot resume: the tabulation lives only in this call, so its
+        partial facts are discarded and a later ``solve`` starts over.
+        """
         machine = self.machine
         graph = self._graph
         live = self._live
@@ -246,7 +262,19 @@ class DemandForwardSolver:
                 propagate(root, root)
 
         run_memo = self._run_memo
+        check_every = countdown = 0
+        if budget is not None and work:
+            check_every = countdown = budget.check_interval
+            progress = SimpleNamespace(
+                fact_count=path_edges.__len__, pending_count=work.__len__
+            )
+            budget.charge(0, progress)
         while work:
+            if budget is not None:
+                countdown -= 1
+                if countdown <= 0:
+                    countdown = check_every
+                    budget.charge(check_every, progress)
             edge = work.popleft()
             anchor, (var, state) = edge
             for succ, word in plain.get(var, ()):
@@ -278,6 +306,8 @@ class DemandForwardSolver:
                     for caller_site, caller_anchor in callers.get(anchor, ()):
                         if caller_site == site:
                             propagate(caller_anchor, (target, state), edge)
+        if budget is not None:
+            budget.settle(check_every - countdown)
 
         return DemandSolution(self, source, path_edges, roots, parents)
 

@@ -16,15 +16,28 @@ express without the explicit product).
 from __future__ import annotations
 
 from repro.cfg.graph import CFGNode, ProgramCFG
+from repro.core.budget import Budget
 from repro.core.demand import DemandForwardSolver, DemandSolution
 from repro.core.terms import Constructor, Variable
 from repro.modelcheck.properties import Property
 
 
 class DemandChecker:
-    """Forward, demand-driven model checker for non-parametric properties."""
+    """Forward, demand-driven model checker for non-parametric properties.
 
-    def __init__(self, cfg: ProgramCFG, prop: Property):
+    ``cycle_elim`` switches the solver's online collapse of empty-word
+    cycles; ``budget`` governs the solve (see
+    :meth:`DemandForwardSolver.solve`), which then raises
+    :class:`~repro.core.errors.SolverInterrupted` from the first query.
+    """
+
+    def __init__(
+        self,
+        cfg: ProgramCFG,
+        prop: Property,
+        cycle_elim: bool = True,
+        budget: Budget | None = None,
+    ):
         if prop.parametric_symbols:
             raise ValueError(
                 "the demand forward checker does not support parametric "
@@ -32,7 +45,8 @@ class DemandChecker:
             )
         self.cfg = cfg
         self.property = prop
-        self.solver = DemandForwardSolver(prop.machine)
+        self.budget = budget
+        self.solver = DemandForwardSolver(prop.machine, cycle_elim=cycle_elim)
         self._vars: dict[int, Variable] = {}
         self._encode()
         self._solution: DemandSolution | None = None
@@ -65,7 +79,7 @@ class DemandChecker:
 
     def solution(self) -> DemandSolution:
         if self._solution is None:
-            self._solution = self.solver.solve("pc")
+            self._solution = self.solver.solve("pc", budget=self.budget)
         return self._solution
 
     def has_violation(self) -> bool:

@@ -64,6 +64,7 @@ from repro.core.persist import (
 )
 from repro.core.solver import Solver, SolverStats
 from repro.dfa.gallery import one_bit_machine
+from repro.gcpause import paused
 from repro.modelcheck import PROPERTY_FACTORIES, AnnotatedChecker
 from repro.modelcheck.properties import Property
 from repro.service import protocol
@@ -999,47 +1000,55 @@ class AnalysisEngine:
         ``budget`` is the per-request resource governor the server built
         (deadline, cancellation token); the wire-level ``budget`` param,
         if present, tightens it further.
+
+        The cyclic garbage collector is paused for the request
+        (:func:`repro.gcpause.paused`): a request leaves no cycles, so
+        the collector would only rescan the engine's caches.  It runs
+        again once no request is in flight.
         """
-        if op in ("check", "patch", "dataflow", "flow"):
-            budget = self._request_budget(params, budget)
-        if op == "patch":
-            base = params.get("base")
-            if base is not None and not isinstance(base, str):
-                raise EngineError(
-                    protocol.E_BAD_REQUEST, "patch 'base' must be a string"
+        with paused():
+            if op in ("check", "patch", "dataflow", "flow"):
+                budget = self._request_budget(params, budget)
+            if op == "patch":
+                base = params.get("base")
+                if base is not None and not isinstance(base, str):
+                    raise EngineError(
+                        protocol.E_BAD_REQUEST, "patch 'base' must be a string"
+                    )
+                key = params.get("key")
+                if key is not None and not isinstance(key, str):
+                    raise EngineError(
+                        protocol.E_BAD_REQUEST, "patch 'key' must be a string"
+                    )
+                return self.patch(
+                    params["program"],
+                    params["property"],
+                    base=base,
+                    key=key,
+                    budget=budget,
                 )
-            key = params.get("key")
-            if key is not None and not isinstance(key, str):
-                raise EngineError(
-                    protocol.E_BAD_REQUEST, "patch 'key' must be a string"
+            if op == "check":
+                return self.check(
+                    params["program"],
+                    params["property"],
+                    traces=bool(params.get("traces", False)),
+                    max_findings=params.get("max_findings"),
+                    budget=budget,
                 )
-            return self.patch(
-                params["program"],
-                params["property"],
-                base=base,
-                key=key,
-                budget=budget,
-            )
-        if op == "check":
-            return self.check(
-                params["program"],
-                params["property"],
-                traces=bool(params.get("traces", False)),
-                max_findings=params.get("max_findings"),
-                budget=budget,
-            )
-        if op == "dataflow":
-            return self.dataflow(params["program"], params["track"], budget=budget)
-        if op == "flow":
-            return self.flow(
-                params["program"],
-                query=params.get("query"),
-                pn=bool(params.get("pn", False)),
-                assume=params.get("assume"),
-                budget=budget,
-            )
-        if op == "stats":
-            return self.stats()
-        if op == "ping":
-            return {"pong": True, "protocol": protocol.PROTOCOL_VERSION}
-        raise EngineError(protocol.E_BAD_REQUEST, f"unknown op {op!r}")
+            if op == "dataflow":
+                return self.dataflow(
+                    params["program"], params["track"], budget=budget
+                )
+            if op == "flow":
+                return self.flow(
+                    params["program"],
+                    query=params.get("query"),
+                    pn=bool(params.get("pn", False)),
+                    assume=params.get("assume"),
+                    budget=budget,
+                )
+            if op == "stats":
+                return self.stats()
+            if op == "ping":
+                return {"pong": True, "protocol": protocol.PROTOCOL_VERSION}
+            raise EngineError(protocol.E_BAD_REQUEST, f"unknown op {op!r}")

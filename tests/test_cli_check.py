@@ -5,6 +5,8 @@ core over the compiled algebra; ``--traces`` (witnesses need
 provenance) and parametric properties (substitution environments have
 no compiled form) run on the object solver.  Every configuration must
 print the same findings, and those findings must be MOPS's error nodes.
+So must ``--engine demand`` (the §5 forward checker), which refuses
+parametric properties.
 """
 
 import re
@@ -13,10 +15,11 @@ from collections import Counter
 import pytest
 
 import repro.cli
+import repro.modelcheck
 from repro.cfg import build_cfg
 from repro.core.flatcore import FlatSolver
 from repro.core.solver import Solver
-from repro.modelcheck import PROPERTY_FACTORIES, AnnotatedChecker
+from repro.modelcheck import PROPERTY_FACTORIES, AnnotatedChecker, DemandChecker
 from repro.mops import MopsChecker
 from repro.synth import PackageSpec, generate_package
 
@@ -59,12 +62,8 @@ def _summary(lines):
     return next(line for line in lines if line.startswith("[annotated]"))
 
 
-def _findings(lines):
-    return Counter(
-        line[len("  violation at "):]
-        for line in lines
-        if line.startswith("  violation at ")
-    )
+def _findings(lines, prefix="  violation at "):
+    return Counter(line[len(prefix):] for line in lines if line.startswith(prefix))
 
 
 @pytest.fixture
@@ -94,11 +93,23 @@ class TestDefaultCore:
         _code, lines = _run(capsys, package, prop)
         cfg = build_cfg(package.read_text())
         mops = MopsChecker(cfg, PROPERTY_FACTORIES[prop]()).check()
+        expected = Counter(node.describe() for node in mops.error_nodes)
         # Parametric findings end in their binding, e.g. " [x=fd]".
         nodes = Counter(
             re.sub(r" \[[^\]]*\]$", "", where) for where in _findings(lines)
         )
-        assert nodes == Counter(node.describe() for node in mops.error_nodes)
+        assert nodes == expected
+        code = repro.cli.main(
+            ["check", str(package), "--property", prop, "--engine", "demand",
+             "--max-findings", "100000"]
+        )
+        out, err = capsys.readouterr()
+        if PROPERTY_FACTORIES[prop]().parametric_symbols:
+            assert code == 2 and out == ""
+            assert err.startswith("repro: error: ") and err.count("\n") == 1
+        else:
+            assert code == 1
+            assert _findings(out.splitlines(), "  error reachable at ") == expected
 
     def test_core_choice(self, package, prop, capsys, built_checkers):
         _run(capsys, package, prop)
@@ -126,8 +137,28 @@ class TestFlatPath:
         assert "  fixpoint invariant: redundant_compositions == 0 [OK]" in lines
 
     def test_budget_interrupts(self, package, prop, capsys):
-        code, _lines = _run(capsys, package, prop, "--budget-steps", "1")
-        assert code == 3
+        for engine in ("annotated", "demand"):
+            code, _lines = _run(
+                capsys, package, prop, "--engine", engine, "--budget-steps", "1"
+            )
+            assert code == 3, engine
+
+    def test_demand_without_cycle_elim(self, package, prop, capsys, monkeypatch):
+        built = []
+
+        class Recording(DemandChecker):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(repro.modelcheck, "DemandChecker", Recording)
+        code, lines = _run(capsys, package, prop, "--engine", "demand")
+        flag_code, flagged = _run(
+            capsys, package, prop, "--engine", "demand", "--no-cycle-elim"
+        )
+        assert [checker.solver.cycle_elim for checker in built] == [True, False]
+        assert code == flag_code == 1
+        assert lines == flagged
 
 
 def test_flat_flag_is_gone(package, capsys):

@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 
 from repro.cfg import build_cfg
 from repro.core.annotations import MonoidAlgebra
+from repro.core.budget import Budget, CancellationToken
 from repro.core.demand import DemandForwardSolver
-from repro.core.errors import ConstraintError
+from repro.core.errors import ConstraintError, SolverBudgetExceeded, SolverCancelled
 from repro.core.solver import Solver
 from repro.core.terms import Constructor, Variable, constant
 from repro.dfa.gallery import adversarial_machine, one_bit_machine, privilege_machine
@@ -116,6 +117,27 @@ class TestTabulation:
         solver.add_source("pc", a)
         solver.add(a, b, ["b"])  # 'b' first is a dead prefix
         assert not solver.solve("pc").states_of(b)
+
+    def test_budget_interrupts_and_the_next_solve_starts_over(self):
+        machine = privilege_machine()
+        solver = DemandForwardSolver(machine)
+        chain = [Variable(f"V{i}") for i in range(6)]
+        solver.add_source("pc", chain[0])
+        for u, v in zip(chain, chain[1:]):
+            solver.add(u, v)
+        with pytest.raises(SolverBudgetExceeded) as exc:
+            solver.solve("pc", budget=Budget(max_steps=3))
+        assert exc.value.limit == "steps"
+        progress = exc.value.progress
+        assert (progress["steps"], progress["facts"], progress["pending"]) == (3, 3, 1)
+        token = CancellationToken()
+        token.cancel()
+        with pytest.raises(SolverCancelled):
+            solver.solve("pc", budget=Budget(token=token))
+        budget = Budget(max_steps=100)
+        solution = solver.solve("pc", budget=budget)
+        assert budget.steps == solution.fact_count == len(chain)
+        assert solution.states_of(chain[-1]) == {machine.start}
 
     def test_wrap_unwrap_matching(self):
         machine = privilege_machine()
