@@ -64,7 +64,29 @@ MACHINES: dict[str, Callable] = {
 }
 
 
+#: ``check`` options an engine does not read, as ``(dest, flag)``.
+#: ``--engine both`` reads them all: its annotated half does.
+_UNREAD_CHECK_FLAGS = {
+    "demand": (
+        ("traces", "--traces"),
+        ("verbose", "-v/--verbose"),
+        ("collapse_cycles", "--collapse-cycles"),
+    ),
+    "mops": (
+        ("traces", "--traces"),
+        ("verbose", "-v/--verbose"),
+        ("collapse_cycles", "--collapse-cycles"),
+        ("no_cycle_elim", "--no-cycle-elim"),
+        ("budget_steps", "--budget-steps"),
+        ("budget_seconds", "--budget-seconds"),
+    ),
+}
+
+
 def _cmd_check(args: argparse.Namespace) -> int:
+    for dest, flag in _UNREAD_CHECK_FLAGS.get(args.engine, ()):
+        if getattr(args, dest) not in (None, False):
+            raise CLIError(f"{flag} has no effect with --engine {args.engine}")
     with open(args.file) as handle:
         source = handle.read()
     cfg = build_cfg(source)

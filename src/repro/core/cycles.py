@@ -32,7 +32,7 @@ because compressed pointers cannot be unwound by the undo log).
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Iterable
+from typing import Callable, Hashable, Iterable, Iterator
 
 #: Nodes a single reverse-path sample may visit before giving up.  Large
 #: enough that the search is complete on the small identity SCCs real
@@ -158,3 +158,72 @@ def find_identity_cycle(
             parent_map[p] = node
             stack.append(p)
     return None
+
+
+def strong_components(edges: Iterable[tuple[Hashable, Hashable]]) -> Iterator[list]:
+    """The strongly connected components of more than one node.
+
+    The graph is given by its ``(src, dst)`` edges.  Both solver cores
+    run it over their identity edges, to quotient the cycles the bounded
+    online search missed, and the model checker's ``--collapse-cycles``
+    pre-pass over the ε-edges of the CFG.  Tarjan's algorithm,
+    iteratively, over the nodes numbered as they first appear.
+    """
+    ids: dict[Hashable, int] = {}
+    nodes: list[Hashable] = []
+    succ: list[list[int]] = []
+    for src, dst in edges:
+        s = ids.get(src)
+        if s is None:
+            s = ids[src] = len(nodes)
+            nodes.append(src)
+            succ.append([])
+        d = ids.get(dst)
+        if d is None:
+            d = ids[dst] = len(nodes)
+            nodes.append(dst)
+            succ.append([])
+        if d != s:
+            succ[s].append(d)
+    n = len(nodes)
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack: list[int] = []
+    counter = 0
+    for start in range(n):
+        if index[start] >= 0 or not succ[start]:
+            continue
+        index[start] = low[start] = counter
+        counter += 1
+        stack.append(start)
+        on_stack[start] = True
+        walk = [(start, iter(succ[start]))]
+        while walk:
+            node, out = walk[-1]
+            for nxt in out:
+                if index[nxt] < 0:
+                    index[nxt] = low[nxt] = counter
+                    counter += 1
+                    stack.append(nxt)
+                    on_stack[nxt] = True
+                    walk.append((nxt, iter(succ[nxt])))
+                    break
+                if on_stack[nxt] and index[nxt] < low[node]:
+                    low[node] = index[nxt]
+            else:
+                walk.pop()
+                if walk:
+                    caller = walk[-1][0]
+                    if low[node] < low[caller]:
+                        low[caller] = low[node]
+                if low[node] == index[node]:
+                    member = stack.pop()
+                    on_stack[member] = False
+                    if member != node:
+                        component = [nodes[member]]
+                        while member != node:
+                            member = stack.pop()
+                            on_stack[member] = False
+                            component.append(nodes[member])
+                        yield component

@@ -42,9 +42,8 @@ from typing import Any, Iterable, Iterator
 
 from repro.core.annotations import Annotation
 from repro.core.budget import Budget
-from repro.core.cycles import DEFAULT_SEARCH_BOUND
+from repro.core.cycles import DEFAULT_SEARCH_BOUND, strong_components
 from repro.core.errors import ConstraintError, Inconsistency, NoSolutionError
-from repro.core.queries import Origin
 from repro.core.solver import FactKey, SolverStats
 from repro.core.terms import (
     Constructed,
@@ -62,13 +61,6 @@ _LOWER, _EDGE, _UPPER, _PROJ = 0, 1, 2, 3
 #: use (a=src term, b=ann); edges (a=dst, b=ann); uppers (a=sink term,
 #: b=ann); projections (a=ctor, b=index, c=target, d=ann).
 _W = 7
-
-#: Shared placeholder origin for the flat reachability table: the flat
-#: core records no provenance, so every entry's witness trace is empty
-#: (``stack_of`` sees ``kind == "direct"`` and ``trace_lower`` finds no
-#: reason) — exactly how the object solver behaves with
-#: ``record_reasons=False``.
-_FLAT_ORIGIN = Origin("direct", ("lower", None, None, None))
 
 #: Column length at which the drain hands a whole lower column to the
 #: algebra's vectorized ``then_many`` (numpy backend) instead of
@@ -1276,65 +1268,21 @@ class FlatSolver:
     def _collapse_map_int(self, roots: list[int]) -> dict[int, int]:
         """Full identity-SCC quotient over current union-find roots."""
         idk = self._idk
-        succ: dict[int, list[int]] = {}
-        pred: dict[int, list[int]] = {}
-        nodes: set[int] = set()
-        for vid in range(len(self._vars)):
-            dsts = self._succ_dst[vid]
-            if not dsts:
-                continue
-            anns = self._succ_ann[vid]
-            s = roots[vid]
-            for j in range(len(dsts)):
-                if anns[j] != idk:
-                    continue
-                d = roots[dsts[j]]
-                if d == s:
-                    continue
-                succ.setdefault(s, []).append(d)
-                pred.setdefault(d, []).append(s)
-                nodes.add(s)
-                nodes.add(d)
+        succ_dst = self._succ_dst
+        succ_ann = self._succ_ann
         rep: dict[int, int] = {}
-        if nodes:
-            order: list[int] = []
-            visited: set[int] = set()
-            for start in nodes:
-                if start in visited:
-                    continue
-                stack: list[tuple[int, int]] = [(start, 0)]
-                visited.add(start)
-                while stack:
-                    node, index = stack.pop()
-                    successors = succ.get(node, [])
-                    if index < len(successors):
-                        stack.append((node, index + 1))
-                        nxt = successors[index]
-                        if nxt not in visited:
-                            visited.add(nxt)
-                            stack.append((nxt, 0))
-                    else:
-                        order.append(node)
-            assigned: set[int] = set()
-            vars_ = self._vars
-            for start in reversed(order):
-                if start in assigned:
-                    continue
-                component = [start]
-                assigned.add(start)
-                cursor = 0
-                while cursor < len(component):
-                    node = component[cursor]
-                    cursor += 1
-                    for prev in pred.get(node, []):
-                        if prev not in assigned:
-                            assigned.add(prev)
-                            component.append(prev)
-                if len(component) > 1:
-                    root = min(component, key=lambda vid: vars_[vid].name)
-                    for node in component:
-                        if node != root:
-                            rep[node] = root
+        vars_ = self._vars
+        for component in strong_components(
+            (roots[vid], roots[dst])
+            for vid in range(len(vars_))
+            if succ_dst[vid]
+            for dst, ann in zip(succ_dst[vid], succ_ann[vid])
+            if ann == idk
+        ):
+            root = min(component, key=lambda vid: vars_[vid].name)
+            for vid in component:
+                if vid != root:
+                    rep[vid] = root
         return rep
 
     def collapse_map(self) -> dict[Variable, Variable]:
@@ -1433,14 +1381,24 @@ class FlatSolver:
             total += len(emitted)
         return total
 
-    def canonical_facts(self) -> Iterator[FactKey]:
+    def canonical_facts(
+        self, cmap: dict[Variable, Variable] | None = None
+    ) -> Iterator[FactKey]:
         """The solved form modulo the full identity-cycle quotient.
 
         Decodes to the same object-level :data:`FactKey` stream as
         :meth:`repro.core.solver.Solver.canonical_facts`, which is what
-        the cross-core equivalence suite compares.
+        the cross-core equivalence suite compares.  ``cmap`` is a
+        :meth:`collapse_map` the caller already holds.
         """
-        canon = self._canon_array()
+        if cmap is None:
+            canon = self._canon_array()
+        else:
+            ids = self._var_ids
+            canon = list(range(len(self._vars)))
+            for var, rep in cmap.items():
+                if var != rep:
+                    canon[ids[var]] = ids[rep]
         idk = self._idk
         vars_ = self._vars
         terms = self._terms
@@ -1674,15 +1632,17 @@ class FlatSolver:
 
     def reach_table(
         self, through_constructors: bool = True
-    ) -> dict[Variable, dict[tuple[Constructed, Annotation], Origin]]:
+    ) -> dict[Variable, dict[Constructed, dict[Annotation, None]]]:
         """Constants-with-annotations reaching each representative.
 
         The int-domain fast path behind
-        :class:`repro.core.queries.Reachability`: the delta propagation
-        runs entirely over term ids and packed annotation ints, and the
-        table is decoded to object keys once at the end.  Origins are a
-        shared placeholder (no provenance in the flat core), so
-        ``witness`` traces are empty — as with ``record_reasons=False``.
+        :class:`repro.core.queries.Reachability`, in its table's shape:
+        one row per representative, mapping each reaching constant to
+        ``{annotation: origin}``.  The delta propagation runs entirely
+        over term ids and packed annotation ints, and only the row keys
+        are decoded at the end.  Every origin is ``None`` (no provenance
+        in the flat core), so ``witness`` traces are empty — as with
+        ``record_reasons=False``.
         """
         algebra = self.algebra
         then = algebra.then
@@ -1693,31 +1653,31 @@ class FlatSolver:
         roots = self._uf_roots()
         term_args = self._term_args
         terms = self._terms
-        table: dict[int, set[int]] = {}
-        wrappers: dict[int, list[tuple[int, int]]] = {}
+        # vid -> term id -> {annotation: None}
+        table: dict[int, dict[int, dict[int, None]]] = {}
+        wrappers: dict[int, list[int]] = {}
         work: list[tuple[int, int, int]] = []
         for vid in range(len(self._vars)):
             srcs = self._low_src[vid]
-            if srcs is None:
+            if not srcs or roots[vid] != vid:
                 continue
-            if roots[vid] != vid:
-                continue
-            bucket = table.setdefault(vid, set())
+            row = None
             anns = self._low_ann[vid]
             for i in range(len(srcs)):
                 tid = srcs[i]
                 args = term_args[tid]
                 if not args:
-                    key = tid * span + anns[i]
-                    if key not in bucket:
-                        bucket.add(key)
-                        work.append((vid, tid, anns[i]))
+                    if row is None:
+                        row = table[vid] = {}
+                    found = row.get(tid)
+                    if found is None:
+                        found = row[tid] = {}
+                    found[anns[i]] = None
+                    work.append((vid, tid, anns[i]))
                 elif through_constructors:
                     packed = vid * span + anns[i]
                     for arg in args:
-                        wrappers.setdefault(roots[arg], []).append(
-                            (tid, packed)
-                        )
+                        wrappers.setdefault(roots[arg], []).append(packed)
         if through_constructors:
             pop = work.pop
             while work:
@@ -1725,7 +1685,7 @@ class FlatSolver:
                 lifted = wrappers.get(arg)
                 if not lifted:
                     continue
-                for _tid, packed in lifted:
+                for packed in lifted:
                     outer = packed % span
                     target = packed // span
                     if outer == idk:
@@ -1738,16 +1698,17 @@ class FlatSolver:
                         combined = then(inner, outer)
                     if not is_live(combined):
                         continue
-                    key = const * span + combined
-                    bucket = table[target]
-                    if key not in bucket:
-                        bucket.add(key)
+                    row = table.get(target)
+                    if row is None:
+                        row = table[target] = {}
+                    found = row.get(const)
+                    if found is None:
+                        found = row[const] = {}
+                    if combined not in found:
+                        found[combined] = None
                         work.append((target, const, combined))
         vars_ = self._vars
-        out: dict[Variable, dict[tuple[Constructed, Annotation], Origin]] = {}
-        for vid, bucket in table.items():
-            decoded: dict[tuple[Constructed, Annotation], Origin] = {}
-            for key in bucket:
-                decoded[(terms[key // span], key % span)] = _FLAT_ORIGIN
-            out[vars_[vid]] = decoded
-        return out
+        return {
+            vars_[vid]: {terms[tid]: found for tid, found in row.items()}
+            for vid, row in table.items()
+        }

@@ -329,7 +329,7 @@ def dump_solver(solver: Solver | FlatSolver) -> str:
                 )
             return term
 
-        fact_iter = solver.canonical_facts()
+        fact_iter = solver.canonical_facts(cmap)
     else:
         canon_var = lambda v: v  # noqa: E731
         canon_term = lambda t: t  # noqa: E731

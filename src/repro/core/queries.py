@@ -58,15 +58,32 @@ class Origin:
     inner: tuple[Variable, Constructed, Annotation] | None = None
 
 
+#: The origin of an entry that is a constant lower bound of its own
+#: variable (its solver fact is ``("lower", var, const, ann)``).  Nested
+#: entries store ``(src, outer, arg, inner)``: lifted through the lower
+#: bound ``src ⊆^outer var`` from ``(const, inner)`` at ``arg``.  A
+#: solver without provenance stores ``None`` (see
+#: :meth:`repro.core.flatcore.FlatSolver.reach_table`).
+DIRECT = ()
+
+#: The empty row / annotation map of a variable nothing reaches.
+_NOTHING: dict = {}
+
+
 class Reachability:
-    """Constants (with annotation classes) reaching each variable."""
+    """Constants (with annotation classes) reaching each variable.
+
+    The table holds one row per representative variable, mapping each
+    reaching constant to ``{annotation: origin}``, so a query for one
+    constant at one variable is a pair of dict lookups.  Origins are
+    plain tuples (:data:`DIRECT` or ``(src, outer, arg, inner)``);
+    :meth:`facts` turns them into :class:`Origin` objects.
+    """
 
     def __init__(self, solver: Solver, through_constructors: bool = True):
         self.solver = solver
         self.through_constructors = through_constructors
-        self._table: dict[
-            Variable, dict[tuple[Constructed, Annotation], Origin]
-        ] = {}
+        self._table: dict[Variable, dict[Constructed, dict[Annotation, Any]]] = {}
         self._compute()
 
     def _compute(self) -> None:
@@ -80,73 +97,102 @@ class Reachability:
         then = solver.algebra.then
         is_live = solver.algebra.is_live
         table = self._table
-        # wrappers[A] lists (X, src, outer) for constructed lower bounds
-        # src ⊆^outer X that mention A as an argument: a fact arriving at
-        # A lifts through each of them (delta propagation — each
-        # (fact, wrapper) pair is processed exactly once).  Lifting does
-        # NOT require the sibling arguments to be non-empty: constructors
-        # are non-strict (§2.1), so ``c(t, ⊥)`` is a term of the domain —
-        # this is exactly why the paper's domain carries ⊥.
-        wrappers: dict[Variable, list[tuple[Variable, Constructed, Annotation]]] = {}
+        through = self.through_constructors
+        # wrappers[A] lists (row of X, src, outer) for constructed lower
+        # bounds src ⊆^outer X that mention A as an argument: a fact
+        # arriving at A lifts through each of them (delta propagation —
+        # each (fact, wrapper) pair is processed exactly once).  Lifting
+        # does NOT require the sibling arguments to be non-empty:
+        # constructors are non-strict (§2.1), so ``c(t, ⊥)`` is a term of
+        # the domain — this is exactly why the paper's domain carries ⊥.
+        wrappers: dict[
+            Variable, list[tuple[dict, Variable, Constructed, Annotation]]
+        ] = {}
         work: deque[tuple[Variable, Constructed, Annotation]] = deque()
         find = solver.find
-        # Iterate representatives only: merged-away variables share their
-        # representative's solved form, and every lookup resolves through
-        # find(), so propagating their (identical) buckets again would
-        # only duplicate work.
-        for var in solver.variables():
-            if find(var) != var:
+        # Argument variables repeat across the copies of a wrapper term
+        # the solve made; resolve each one once.
+        roots: dict[Variable, Variable] = {}
+        # The lower-bound table in insertion order, representatives
+        # only: merged-away variables share their representative's
+        # solved form, and every lookup resolves through find().  The
+        # order is that of the solve, not of string hashes, so the first
+        # derivation recorded (the printed witness) is the same in every
+        # process.
+        for var, bucket in solver.lower_table():
+            if not bucket or find(var) != var:
                 continue
-            bucket = table.setdefault(var, {})
-            for src, ann in solver.lower_bounds(var):
-                if src.is_constant:
-                    key = (src, ann)
-                    if key not in bucket:
-                        bucket[key] = Origin("direct", ("lower", var, src, ann))
-                        work.append((var, src, ann))
-                elif self.through_constructors:
-                    for arg in src.args:
-                        wrappers.setdefault(find(arg), []).append((var, src, ann))
-        if not self.through_constructors:
+            row = table[var] = {}
+            for src, ann in bucket:
+                args = src.args
+                if not args:
+                    # Bucket keys are distinct (src, ann) pairs and no
+                    # nested entry exists yet: every one is new.
+                    anns = row.get(src)
+                    if anns is None:
+                        anns = row[src] = {}
+                    anns[ann] = DIRECT
+                    work.append((var, src, ann))
+                elif through:
+                    for arg in args:
+                        rep = roots.get(arg)
+                        if rep is None:
+                            rep = roots[arg] = find(arg)
+                        lifted = wrappers.get(rep)
+                        if lifted is None:
+                            wrappers[rep] = [(row, var, src, ann)]
+                        else:
+                            lifted.append((row, var, src, ann))
+        if not through:
             return
         while work:
             arg, const, inner = work.popleft()
-            for target, src, outer in wrappers.get(arg, ()):
+            lifted = wrappers.get(arg)
+            if lifted is None:
+                continue
+            for row, target, src, outer in lifted:
                 combined = then(inner, outer)
                 if not is_live(combined):
                     continue
-                bucket = table[target]
-                key = (const, combined)
-                if key not in bucket:
-                    bucket[key] = Origin(
-                        "nested",
-                        ("lower", target, src, outer),
-                        (arg, const, inner),
-                    )
+                anns = row.get(const)
+                if anns is None:
+                    anns = row[const] = {}
+                if combined not in anns:
+                    anns[combined] = (src, outer, arg, inner)
                     work.append((target, const, combined))
 
     # -- lookups ---------------------------------------------------------------
 
-    def _bucket(self, var: Variable) -> dict[tuple[Constructed, Annotation], Origin]:
+    def _row(self, var: Variable) -> dict[Constructed, dict[Annotation, Any]]:
         # Queries may be phrased with variables that cycle elimination
         # merged away; their solved form lives at the representative.
-        return self._table.get(self.solver.find(var), {})
+        return self._table.get(self.solver.find(var), _NOTHING)
 
     def facts(
         self, var: Variable
     ) -> Iterator[tuple[Constructed, Annotation, Origin]]:
-        for (const, ann), origin in self._bucket(var).items():
-            yield const, ann, origin
+        rep = self.solver.find(var)
+        for const, anns in self._table.get(rep, _NOTHING).items():
+            for ann, origin in anns.items():
+                if origin is None:
+                    # No provenance: the placeholder every query
+                    # degrades on (no stack, empty witness).
+                    yield const, ann, Origin("direct", ("lower", None, None, None))
+                elif not origin:  # DIRECT
+                    yield const, ann, Origin("direct", ("lower", rep, const, ann))
+                else:
+                    src, outer, arg, inner = origin
+                    yield const, ann, Origin(
+                        "nested", ("lower", rep, src, outer), (arg, const, inner)
+                    )
 
     def annotations_of(
         self, var: Variable, const: Constructed
     ) -> set[Annotation]:
-        return {
-            ann for (c, ann), _origin in self._bucket(var).items() if c == const
-        }
+        return set(self._row(var).get(const, _NOTHING))
 
     def constants(self, var: Variable) -> set[Constructed]:
-        return {c for (c, _ann) in self._bucket(var)}
+        return set(self._row(var))
 
     def reaches(
         self,
@@ -162,7 +208,7 @@ class Reachability:
         """
         if accepting is None:
             accepting = self.solver.algebra.is_accepting
-        return any(accepting(ann) for ann in self.annotations_of(var, const))
+        return any(accepting(ann) for ann in self._row(var).get(const, _NOTHING))
 
     # -- witnesses ---------------------------------------------------------------
 
@@ -175,14 +221,12 @@ class Reachability:
         constructors in a witness term is a possible runtime stack —
         the pending (unreturned) call sites, innermost first.
         """
-        origin = self._bucket(var).get((const, annotation))
+        origin = self._row(var).get(const, _NOTHING).get(annotation)
         stack: list[str] = []
-        while origin is not None and origin.kind == "nested":
-            _tag, _var, src, _ann = origin.lower_fact
+        while origin:
+            src, _outer, arg, inner = origin
             stack.append(src.constructor.name)
-            assert origin.inner is not None
-            inner_var, inner_const, inner_ann = origin.inner
-            origin = self._table.get(inner_var, {}).get((inner_const, inner_ann))
+            origin = self._table.get(arg, _NOTHING).get(const, _NOTHING).get(inner)
         return stack
 
     def witness(
@@ -195,16 +239,20 @@ class Reachability:
         journey, recursively.  Returns the ordered list of non-``None``
         ``info`` values along the derivation.
         """
-        origin = self._bucket(var).get((const, annotation))
-        if origin is None:
-            return []
-        if origin.kind == "direct":
-            return trace_lower(self.solver, origin.lower_fact)
-        assert origin.inner is not None
-        inner_var, inner_const, inner_ann = origin.inner
-        inner_trace = self.witness(inner_var, inner_const, inner_ann)
-        outer_trace = trace_lower(self.solver, origin.lower_fact)
-        return inner_trace + outer_trace
+        solver = self.solver
+        rep = solver.find(var)
+        origin = self._table.get(rep, _NOTHING).get(const, _NOTHING).get(annotation)
+        # Outer journeys are met first; the trace lists them last.
+        parts: list[list[Any]] = []
+        while origin is not None:
+            if not origin:  # DIRECT
+                parts.append(trace_lower(solver, ("lower", rep, const, annotation)))
+                break
+            src, outer, arg, inner = origin
+            parts.append(trace_lower(solver, ("lower", rep, src, outer)))
+            rep, annotation = arg, inner
+            origin = self._table.get(rep, _NOTHING).get(const, _NOTHING).get(annotation)
+        return [step for part in reversed(parts) for step in part]
 
 
 def trace_lower(solver: Solver, fact: FactKey) -> list[Any]:

@@ -42,7 +42,12 @@ from typing import Any, Hashable, Iterable, Iterator
 
 from repro.core.annotations import Annotation, UnannotatedAlgebra
 from repro.core.budget import Budget
-from repro.core.cycles import DEFAULT_SEARCH_BOUND, UnionFind, find_identity_cycle
+from repro.core.cycles import (
+    DEFAULT_SEARCH_BOUND,
+    UnionFind,
+    find_identity_cycle,
+    strong_components,
+)
 from repro.core.errors import ConstraintError, Inconsistency, NoSolutionError
 from repro.core.terms import (
     Constructed,
@@ -340,6 +345,13 @@ class Solver:
         """All derived lower bounds ``src ⊆^f var`` (the solved form)."""
         yield from self._lower.get(self.find(var), ())
 
+    def lower_table(
+        self,
+    ) -> Iterable[tuple[Variable, Iterable[tuple[Constructed, Annotation]]]]:
+        """Every variable's lower bounds, ``(var, bucket)`` in the order
+        the solve first gave each variable one (read-only views)."""
+        return self._lower.items()
+
     def upper_bounds(
         self, var: Variable
     ) -> Iterator[tuple[Constructed, Annotation]]:
@@ -601,102 +613,145 @@ class Solver:
         is a function of the solved form alone — independent of which
         cycles the bounded online sampler happened to merge, and stable
         across a run and its checkpoint/resume replay.
+
+        It equals ``sum(1 for _ in canonical_facts())`` without building
+        or sorting a key per fact: a bucket the quotient rewrites
+        nothing in contributes its size, and only merged groups and the
+        entries with a moved variable go through a dedup set.
         """
-        if self.cycle_elim:
-            return sum(1 for _ in self.canonical_facts())
-        return (
-            sum(len(v) for v in self._lower.values())
-            + sum(len(v) for v in self._upper.values())
-            + sum(len(v) for v in self._succ.values())
-            + sum(len(v) for v in self._proj.values())
-        )
+        tables = (self._lower, self._upper, self._succ, self._proj)
+        if not self.cycle_elim:
+            return sum(len(bucket) for table in tables for bucket in table.values())
+        moved = self._moved()
+        # Merged groups: each representative a moved table variable maps
+        # to, with every table variable the quotient sends there.
+        groups: dict[Variable, list[Variable]] = {}
+        for table in tables:
+            for var in table:
+                if var in moved:
+                    groups.setdefault(moved[var], [])
+        grouped: set[Variable] = set()
+        for table in tables:
+            for var in table:
+                group = groups.get(moved.get(var, var))
+                if group is not None and var not in grouped:
+                    grouped.add(var)
+                    group.append(var)
+        is_identity = self._is_identity
+        moved_vars = moved.keys()
+
+        def ct(term: Constructed) -> Constructed:
+            if term.args and not moved_vars.isdisjoint(term.args):
+                return Constructed(
+                    term.constructor, tuple(moved.get(a, a) for a in term.args)
+                )
+            return term
+
+        def size(bucket: dict, rewritten: list) -> int:
+            # A lone unmoved variable's bucket holds distinct keys; only
+            # the entries naming a moved variable are rewritten — into a
+            # key the bucket holds, a new one, or (None) nothing.
+            new = {key for key in rewritten if key is not None and key not in bucket}
+            return len(bucket) - len(rewritten) + len(new)
+
+        total = 0
+        for table in (self._lower, self._upper):
+            for var, bucket in table.items():
+                if var not in grouped:
+                    total += size(bucket, [
+                        (ct(term), ann)
+                        for term, ann in bucket
+                        if term.args and not moved_vars.isdisjoint(term.args)
+                    ])
+        for var, bucket in self._succ.items():
+            if var not in grouped:
+                total += size(bucket, [
+                    None
+                    if moved[dst] == var and is_identity(ann)
+                    else (moved[dst], ann)
+                    for dst, ann in bucket
+                    if dst in moved
+                ])
+        for var, bucket in self._proj.items():
+            if var not in grouped:
+                total += size(bucket, [
+                    (ctor, index, moved[target], ann)
+                    for ctor, index, target, ann in bucket
+                    if target in moved
+                ])
+        for rep, group in groups.items():
+            keys: set = set()
+            for var in group:
+                for term, ann in self._lower.get(var, ()):
+                    keys.add(("lower", ct(term), ann))
+                for term, ann in self._upper.get(var, ()):
+                    keys.add(("upper", ct(term), ann))
+                for dst, ann in self._succ.get(var, ()):
+                    d = moved.get(dst, dst)
+                    if not (d == rep and is_identity(ann)):
+                        keys.add(("edge", d, ann))
+                for ctor, index, target, ann in self._proj.get(var, ()):
+                    keys.add(("proj", ctor, index, moved.get(target, target), ann))
+            total += len(keys)
+        return total
 
     # -- cycle elimination -----------------------------------------------------
 
-    def collapse_map(self) -> dict[Variable, Variable]:
-        """Map every variable of the system to its canonical representative.
+    def _moved(self) -> dict[Variable, Variable]:
+        """The variables the full identity-cycle quotient moves, each
+        mapped to its canonical representative.
 
-        This composes the online merges with a *complete* SCC pass over
-        the identity-annotated subgraph, so cycles the bounded sampler
+        Composes the online merges with a *complete* SCC pass over the
+        identity-annotated subgraph, so cycles the bounded sampler
         missed are still quotiented here.  Representatives are the
         lexicographically smallest member of each component — a pure
         function of the solved form, which is what keeps dumps and fact
         counts comparable across runs with different merge histories.
+        Every variable not in the map is its own representative.
         """
-        find = self.find
-        is_identity = self._is_identity
-        succ: dict[Variable, list[Variable]] = {}
-        pred: dict[Variable, list[Variable]] = {}
-        nodes: set[Variable] = set()
-        for src, bucket in self._succ.items():
-            s = find(src)
-            for dst, ann in bucket:
-                if not is_identity(ann):
-                    continue
-                d = find(dst)
-                if d == s:
-                    continue
-                succ.setdefault(s, []).append(d)
-                pred.setdefault(d, []).append(s)
-                nodes.add(s)
-                nodes.add(d)
-        rep: dict[Variable, Variable] = {}
-        if nodes:
-            # Kosaraju, iteratively (the modelcheck ε-SCC pre-pass uses
-            # the same scheme on CFG nodes).
-            order: list[Variable] = []
-            visited: set[Variable] = set()
-            for start in nodes:
-                if start in visited:
-                    continue
-                stack: list[tuple[Variable, int]] = [(start, 0)]
-                visited.add(start)
-                while stack:
-                    node, index = stack.pop()
-                    successors = succ.get(node, [])
-                    if index < len(successors):
-                        stack.append((node, index + 1))
-                        nxt = successors[index]
-                        if nxt not in visited:
-                            visited.add(nxt)
-                            stack.append((nxt, 0))
-                    else:
-                        order.append(node)
-            assigned: set[Variable] = set()
-            for start in reversed(order):
-                if start in assigned:
-                    continue
-                component = [start]
-                assigned.add(start)
-                cursor = 0
-                while cursor < len(component):
-                    node = component[cursor]
-                    cursor += 1
-                    for prev in pred.get(node, []):
-                        if prev not in assigned:
-                            assigned.add(prev)
-                            component.append(prev)
-                if len(component) > 1:
-                    root = min(component, key=lambda v: v.name)
-                    for node in component:
-                        if node != root:
-                            rep[node] = root
-        out: dict[Variable, Variable] = {}
-        for var in self.variables():
-            root = find(var)
-            out[var] = rep.get(root, root)
-        return out
+        # The union-find root of every merged-away variable, resolved
+        # once; any other variable is its own root.
+        uf = self._uf
+        compress = not self._journal
+        roots = {var: uf.find(var, compress) for var in list(uf.parent)}
+        idk = self._identity_key
+        moved: dict[Variable, Variable] = {}
+        for component in strong_components(
+            (roots.get(src, src), roots.get(dst, dst))
+            for src, bucket in self._succ.items()
+            for dst, ann in bucket
+            if ann == idk
+        ):
+            root = min(component, key=lambda v: v.name)
+            for var in component:
+                if var is not root:
+                    moved[var] = root
+        # Component members are union-find roots; the merged-away
+        # variables follow their root.
+        for var, root in roots.items():
+            moved[var] = moved.get(root, root)
+        return moved
 
-    def canonical_facts(self) -> Iterator[FactKey]:
+    def collapse_map(self) -> dict[Variable, Variable]:
+        """Map every variable of the system to its canonical representative
+        (see :meth:`_moved`)."""
+        moved = self._moved()
+        return {var: moved.get(var, var) for var in self.variables()}
+
+    def canonical_facts(
+        self, cmap: dict[Variable, Variable] | None = None
+    ) -> Iterator[FactKey]:
         """The solved form modulo the full identity-cycle quotient.
 
         Yields each distinct fact once, with every variable slot
         (including constructor arguments) resolved through
         :meth:`collapse_map` and identity self-edges dropped.  This is
         what persistence dumps and what :meth:`fact_count` counts when
-        cycle elimination is enabled.
+        cycle elimination is enabled.  ``cmap`` is a
+        :meth:`collapse_map` the caller already holds.
         """
-        cmap = self.collapse_map()
+        if cmap is None:
+            cmap = self._moved()
 
         def cv(v: Variable) -> Variable:
             return cmap.get(v, v)

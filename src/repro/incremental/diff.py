@@ -50,12 +50,22 @@ __all__ = ["StableCheck", "diff_constraints", "diff_programs", "stable_encode"]
 _PC = Constructor("pc", 0)()
 
 
-def _node_variables(cfg: ProgramCFG) -> dict[int, Variable]:
-    """The node-id → edit-stable variable map (names only, no encode)."""
+def _node_variables(
+    cfg: ProgramCFG, known: dict[str, list[Variable]] | None = None
+) -> dict[int, Variable]:
+    """The node-id → edit-stable variable map (names only, no encode).
+
+    ``known`` maps function names to the ``S@f#j`` variables made for
+    them so far, by node index; they are reused, and extended, instead
+    of being formatted again.
+    """
     node_vars: dict[int, Variable] = {}
     for fname, fcfg in cfg.functions.items():
-        for j, node in enumerate(fcfg.nodes):
-            node_vars[node.id] = Variable(f"S@{fname}#{j}")
+        names = [] if known is None else known.setdefault(fname, [])
+        for j in range(len(names), len(fcfg.nodes)):
+            names.append(Variable(f"S@{fname}#{j}"))
+        for node, var in zip(fcfg.nodes, names):
+            node_vars[node.id] = var
     return node_vars
 
 
@@ -343,7 +353,11 @@ class StableCheck:
             _PC, Variable("S@main#0"), self.algebra.identity, None
         )
         self.constraints, batches = self._full_encode(cfg)
-        self._vars: dict[int, Variable] | None = _node_variables(cfg)
+        # every patch rebuilds the node-variable map; it reuses these
+        self._fn_vars: dict[str, list[Variable]] = {}
+        self._vars: dict[int, Variable] | None = _node_variables(
+            cfg, self._fn_vars
+        )
         self.solver.add_many(self.constraints)
         self.delta = DeltaSolver(self.solver, self.constraints)
         self._reachability: Reachability | None = None
@@ -482,7 +496,7 @@ class StableCheck:
         self.source = new_source
         self._cfg = new_cfg
         self.constraints = new_batch
-        self._vars = _node_variables(new_cfg)
+        self._vars = _node_variables(new_cfg, self._fn_vars)
         self._reachability = None
         self._install_chunks(new_source, new_cfg, batches)
         return PatchOutcome(patch=patch, stats=stats)
@@ -494,7 +508,7 @@ class StableCheck:
         """The current program's CFG, rebuilt on demand after a patch."""
         if self._cfg is None:
             self._cfg = build_cfg(self.source)
-            self._vars = _node_variables(self._cfg)
+            self._vars = _node_variables(self._cfg, self._fn_vars)
         return self._cfg
 
     def reachability(self) -> Reachability:

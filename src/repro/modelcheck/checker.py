@@ -28,6 +28,7 @@ from typing import Any, Iterable
 from repro.cfg.graph import CFGNode, ProgramCFG
 from repro.core.annotations import Annotation, CompiledMonoidAlgebra, MonoidAlgebra
 from repro.core.budget import Budget
+from repro.core.cycles import strong_components
 from repro.core.flatcore import FlatSolver
 from repro.core.parametric import EntryKey, ParametricAlgebra
 from repro.core.queries import Reachability
@@ -79,59 +80,23 @@ def _epsilon_scc_representatives(cfg: ProgramCFG, event_of) -> dict[int, int]:
     the identity annotation (no property event, no call constructor) —
     the loops a structured CFG is full of.  Nodes on such a cycle are
     mutually ε-included, hence equal in every solution, so the merge is
-    exact.  Kosaraju's algorithm, iteratively, on the ε-edge subgraph.
+    exact.  The representative is the smallest node id.
     """
-    epsilon_succ: dict[int, list[int]] = {}
-    epsilon_pred: dict[int, list[int]] = {}
-    identity_nodes = set()
-    for node in cfg.all_nodes():
-        if node.kind == "call":
-            continue
-        if event_of(node) is not None:
-            continue
-        identity_nodes.add(node.id)
-        for succ in cfg.successors(node):
-            epsilon_succ.setdefault(node.id, []).append(succ.id)
-            epsilon_pred.setdefault(succ.id, []).append(node.id)
-
-    # First pass: finish order over the ε-subgraph.
-    order: list[int] = []
-    visited: set[int] = set()
-    for start in list(identity_nodes):
-        if start in visited:
-            continue
-        stack: list[tuple[int, int]] = [(start, 0)]
-        visited.add(start)
-        while stack:
-            node, index = stack.pop()
-            successors = epsilon_succ.get(node, [])
-            if index < len(successors):
-                stack.append((node, index + 1))
-                nxt = successors[index]
-                if nxt not in visited and nxt in identity_nodes:
-                    visited.add(nxt)
-                    stack.append((nxt, 0))
-            else:
-                order.append(node)
-    # Second pass: components in reverse finish order over reversed edges.
-    representative: dict[int, int] = {}
-    assigned: set[int] = set()
-    for start in reversed(order):
-        if start in assigned:
-            continue
-        component = [start]
-        assigned.add(start)
-        cursor = 0
-        while cursor < len(component):
-            node = component[cursor]
-            cursor += 1
-            for prev in epsilon_pred.get(node, []):
-                if prev not in assigned and prev in identity_nodes:
-                    assigned.add(prev)
-                    component.append(prev)
+    identity = {
+        node.id: node
+        for node in cfg.all_nodes()
+        if node.kind != "call" and event_of(node) is None
+    }
+    representative = {node_id: node_id for node_id in identity}
+    for component in strong_components(
+        (node_id, nxt.id)
+        for node_id, node in identity.items()
+        for nxt in cfg.successors(node)
+        if nxt.id in identity
+    ):
         root = min(component)
-        for node in component:
-            representative[node] = root
+        for node_id in component:
+            representative[node_id] = root
     return representative
 
 

@@ -16,7 +16,10 @@ designed for a long-lived process answering many queries:
   non-parametric check systems are persisted via
   :func:`repro.core.persist.dump_solver`; a later engine (or process)
   reloads the solved form instead of re-solving, with the fingerprint
-  verified so a snapshot is never replayed against the wrong machine;
+  verified so a snapshot is never replayed against the wrong machine.
+  Snapshots carry no provenance, so only ``check`` requests without
+  ``traces`` use them; a ``traces`` request is cached separately and
+  always solves with provenance, and a no-traces solve records none;
 * **what-if queries** — speculative constraints are layered on a cached
   solved system under :meth:`Solver.mark`/``rollback`` (flow ``assume``
   edges), answering incremental questions without re-solving the base
@@ -480,11 +483,13 @@ class AnalysisEngine:
         """Model-check ``program`` against a registered property."""
         prop, fingerprint = self._property(property)
         phash = program_hash(program)
-        key = ("check", fingerprint, phash)
+        # Witnesses need provenance, which neither a snapshot nor a
+        # no-traces solve carries: the two requests solve separately.
+        key = ("check", fingerprint, phash, traces)
 
         def build() -> AnnotatedChecker:
             cfg = self._parse_cfg(program)
-            snapshot = self._snapshot_path(fingerprint, phash)
+            snapshot = None if traces else self._snapshot_path(fingerprint, phash)
             if (
                 snapshot is not None
                 and snapshot.exists()
@@ -518,6 +523,7 @@ class AnalysisEngine:
                 cfg,
                 prop,
                 algebra=self._check_algebra(prop, fingerprint),
+                record_reasons=traces,
                 budget=budget,
             )
             if snapshot is not None and not prop.parametric_symbols:

@@ -252,3 +252,69 @@ class TestMopsExitStatus:
         )
         assert code == 0
         assert "[mops]      clean" in capsys.readouterr().out
+
+
+_SETEUID_EXEC = 'int main() { seteuid(0); execl("/bin/sh"); return 0; }'
+
+
+@pytest.mark.parametrize(
+    "engine, flags, named",
+    [
+        ("demand", ["--traces"], "--traces"),
+        ("demand", ["-v"], "--verbose"),
+        ("demand", ["--collapse-cycles"], "--collapse-cycles"),
+        ("mops", ["--traces"], "--traces"),
+        ("mops", ["--verbose"], "--verbose"),
+        ("mops", ["--collapse-cycles"], "--collapse-cycles"),
+        ("mops", ["--no-cycle-elim"], "--no-cycle-elim"),
+        ("mops", ["--budget-steps", "1"], "--budget-steps"),
+        ("mops", ["--budget-seconds", "5"], "--budget-seconds"),
+        # the annotated half of ``both`` reads every one of them
+        ("both", ["--traces", "-v", "--collapse-cycles", "--no-cycle-elim"], None),
+    ],
+)
+def test_flags_an_engine_does_not_read_are_refused(
+    tmp_path, capsys, engine, flags, named
+):
+    path = tmp_path / "prog.c"
+    path.write_text(_SETEUID_EXEC)
+    code = repro.cli.main(
+        ["check", str(path), "--property", "simple-privilege", "--engine", engine,
+         *flags]
+    )
+    out = capsys.readouterr()
+    if named is None:
+        assert code == 1
+        assert "[annotated] VIOLATION" in out.out
+        return
+    assert code == 2
+    assert out.out == ""
+    assert out.err.startswith("repro: error: ")
+    assert named in out.err and engine in out.err
+    assert len(out.err.splitlines()) == 1
+
+
+def test_traced_output_is_the_same_under_every_hash_seed(tmp_path):
+    # The first derivation recorded for a nested fact is the printed
+    # witness; it must follow the solve, not the string-hash seed.
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    path = tmp_path / "pkg.c"
+    path.write_text(generate_package(PackageSpec("det", 300, 6, seed=17)))
+    outputs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "check", str(path),
+             "--property", "simple-privilege", "--traces",
+             "--max-findings", "100000"],
+            env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == 1, done.stderr
+        outputs.append(done.stdout)
+    assert "      " in outputs[0]  # witnesses were printed
+    assert outputs[0] == outputs[1]

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from repro.cfg import build_cfg
 from repro.core.annotations import CompiledMonoidAlgebra, MonoidAlgebra
 from repro.core.budget import Budget
-from repro.core.cycles import UnionFind, find_identity_cycle
+from repro.core.cycles import UnionFind, find_identity_cycle, strong_components
 from repro.core.demand import DemandBackwardSolver, DemandForwardSolver
 from repro.core.errors import SolverBudgetExceeded
 from repro.core.persist import dump_solver, load_solver
@@ -109,6 +109,32 @@ class TestFindIdentityCycle:
             )
             is None
         )
+
+
+class TestStrongComponents:
+    """The offline quotient pass both cores run over identity edges."""
+
+    @given(st.integers(min_value=0, max_value=100_000))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_mutual_reachability(self, seed):
+        rng = random.Random(seed)
+        n = rng.randrange(1, 12)
+        succ = [
+            [rng.randrange(n) for _ in range(rng.randrange(3))] for _ in range(n)
+        ]
+        reach = [{i} for i in range(n)]
+        for _ in range(n):
+            for i in range(n):
+                for j in succ[i]:
+                    reach[i] |= reach[j]
+        expected = {
+            frozenset(j for j in range(n) if i in reach[j] and j in reach[i])
+            for i in range(n)
+        }
+        edges = [(i, j) for i in range(n) for j in succ[i]]
+        found = [frozenset(c) for c in strong_components(edges)]
+        assert len(found) == len(set(found))
+        assert set(found) == {c for c in expected if len(c) > 1}, seed
 
 
 # ---------------------------------------------------------------------------

@@ -145,6 +145,31 @@ class TestSnapshotWarmStart:
         assert result["has_violation"]
         assert fresh.metrics.get("cache.snapshot.warm") == 0
 
+    def test_restarted_engine_returns_the_same_traces(self, tmp_path):
+        # A snapshot carries no provenance: a traces request must solve
+        # with provenance instead of answering from one.
+        program = 'int main() { seteuid(0); execl("/bin/sh"); return 0; }'
+        fresh = AnalysisEngine(snapshot_dir=tmp_path)
+        fresh.check(program, "simple-privilege")
+        expected = fresh.check(program, "simple-privilege", traces=True)
+        assert expected["violations"]
+        assert all(v["trace"] for v in expected["violations"])
+        restarted = AnalysisEngine(snapshot_dir=tmp_path)
+        assert restarted.check(program, "simple-privilege", traces=True) == expected
+        assert restarted.metrics.get("cache.snapshot.warm") == 0
+        # the no-traces answer still comes from the snapshot
+        plain = restarted.check(program, "simple-privilege")
+        assert restarted.metrics.get("cache.snapshot.warm") == 1
+        assert all(v["trace"] == [] for v in plain["violations"])
+
+    def test_no_traces_solve_records_no_provenance(self):
+        engine = AnalysisEngine()
+        engine.check(VULNERABLE, "simple-privilege")
+        engine.check(VULNERABLE, "simple-privilege", traces=True)
+        solvers = {key[3]: entry.solver for key, entry in engine._solved.items()}
+        assert solvers[False].record_reasons is False
+        assert solvers[True].record_reasons is True
+
     def test_parametric_not_snapshotted(self, tmp_path):
         program = 'int main() { int fd = open("a"); close(fd); close(fd); return 0; }'
         engine = AnalysisEngine(snapshot_dir=tmp_path)
