@@ -21,8 +21,17 @@ Commands:
 * ``query`` — send one service request (to a TCP server with
   ``--connect``, or to an in-process engine).
 
-Operational errors — unreadable input files, parse failures — exit
-with status 2 and a one-line diagnostic on stderr (no traceback).
+Exit statuses:
+
+* 0 — success (for ``check`` and ``patch``: no violation found);
+* 1 — ``check`` or ``patch`` found a violation;
+* 2 — operational error: unreadable input file, parse failure, bad
+  arguments; a one-line diagnostic on stderr, no traceback;
+* 3 — the solve was interrupted by ``--budget-steps`` /
+  ``--budget-seconds`` (or cancelled);
+* 141 — stdout's reader went away first (``repro check … | head``):
+  the command stops quietly, as a process killed by ``SIGPIPE`` would
+  (128 + 13).
 """
 
 from __future__ import annotations
@@ -30,6 +39,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 from typing import Callable
 
@@ -716,6 +726,23 @@ class CLIError(Exception):
     """An operational CLI failure: reported on one line, exit status 2."""
 
 
+#: Exit status when stdout's reader closes the pipe early: 128 + SIGPIPE.
+EXIT_BROKEN_PIPE = 141
+
+
+def _silence_stdout() -> None:
+    """Point stdout at the null device once its reader has gone away.
+
+    The interpreter flushes stdout at exit; into a closed pipe that
+    flush fails again and prints "Exception ignored".  The ``--connect``
+    paths turn socket errors into :class:`CLIError`, so a
+    :class:`BrokenPipeError` that reaches :func:`main` is stdout's.
+    """
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     # A one-shot command's heap is freed by reference counting, so the
@@ -724,7 +751,11 @@ def main(argv: list[str] | None = None) -> int:
     pause = contextlib.nullcontext() if args.command == "serve" else paused()
     try:
         with pause:
-            return args.handler(args)
+            status = args.handler(args)
+        # Flush here rather than at interpreter exit, so that a reader
+        # that closed the pipe early surfaces as BrokenPipeError below.
+        sys.stdout.flush()
+        return status
     except CLIError as exc:
         print(f"repro: error: {exc}", file=sys.stderr)
         return 2
@@ -736,6 +767,9 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 3
+    except BrokenPipeError:
+        _silence_stdout()
+        return EXIT_BROKEN_PIPE
     except OSError as exc:
         target = getattr(exc, "filename", None)
         where = f" {target!r}" if target else ""

@@ -31,20 +31,22 @@ play.  Two deliberate non-goals:
   substitution environments are not ints; the object solver remains
   the semantic reference for them.
 
-The flat layout is also what makes snapshots cheap: persistence dumps
-the raw columns (see ``repro.core.persist``), with no per-fact object
-encode on the way out.
+Snapshots share the flat layout's shape: format v4 of
+``repro.core.persist`` stores interned variable, constructor and term
+tables and every fact as a row of ints, so loading one interns each
+distinct object once and appends each row to its column.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, Iterable, Iterator
 
 from repro.core.annotations import Annotation
 from repro.core.budget import Budget
 from repro.core.cycles import DEFAULT_SEARCH_BOUND, strong_components
 from repro.core.errors import ConstraintError, Inconsistency, NoSolutionError
-from repro.core.solver import FactKey, SolverStats
+from repro.core.solver import FactKey, SolverStats, _rewrites
 from repro.core.terms import (
     Constructed,
     Constructor,
@@ -67,6 +69,10 @@ _W = 7
 #: composing entry by entry.  Below this the fixed cost of array
 #: conversion beats the win.
 NUMPY_MIN_COLUMN = 64
+
+
+#: The target variable id of a projection row ``(ctor, index, target, ann)``.
+_target = itemgetter(2)
 
 
 def _ann_span(algebra: Any) -> int:
@@ -1286,12 +1292,18 @@ class FlatSolver:
         return rep
 
     def collapse_map(self) -> dict[Variable, Variable]:
-        canon = self._canon_array()
+        moved = self._moved()
+        return {var: moved.get(var, var) for var in self.variables()}
+
+    def _moved(self) -> dict[Variable, Variable]:
+        """The variables the full identity-cycle quotient moves, each
+        mapped to its representative (as the object solver's)."""
         vars_ = self._vars
-        out: dict[Variable, Variable] = {}
-        for var in self.variables():
-            out[var] = vars_[canon[self._var_ids[var]]]
-        return out
+        return {
+            vars_[vid]: vars_[rep]
+            for vid, rep in enumerate(self._canon_array())
+            if rep != vid
+        }
 
     def _canonical_tid(self, tid: int, canon: list[int]) -> int:
         """Term id with argument variables resolved through ``canon``."""
@@ -1329,57 +1341,125 @@ class FlatSolver:
                 members.setdefault(canon[vid], []).append(vid)
         return members
 
+    def _moved_ids(self, canon: list[int]) -> tuple[set[int], dict[int, int]]:
+        """The variable ids ``canon`` moves, and each term id naming one
+        mapped to its canonical term id (interned on demand)."""
+        moved_vids = {vid for vid, rep in enumerate(canon) if rep != vid}
+        moved_tids: dict[int, int] = {}
+        if moved_vids:
+            term_args = self._term_args
+            # A canonical term interned below names no moved variable.
+            for tid in range(len(term_args)):
+                args = term_args[tid]
+                if args and not moved_vids.isdisjoint(args):
+                    moved_tids[tid] = self._canonical_tid(tid, canon)
+        return moved_vids, moved_tids
+
     def _canonical_count(self) -> int:
-        """`len(list(canonical_facts()))` without building object keys."""
+        """`len(list(canonical_facts()))` without building object keys.
+
+        A lone unmoved variable's columns hold distinct entries, so a
+        column that names no moved term or variable — one C-level
+        ``isdisjoint`` test — contributes its length.  Only the columns
+        that fail it, and merged groups, go entry by entry.
+        """
         canon = self._canon_array()
         span = self._span
         idk = self._idk
+        moved_vids, moved_tids = self._moved_ids(canon)
         total = 0
-        members = self._group_members(canon)
-        tid_memo: dict[int, int] = {}
-        for rep, group in members.items():
-            emitted: set = set()
-            for vid in group:
-                srcs = self._low_src[vid]
+        for rep, group in self._group_members(canon).items():
+            if len(group) > 1 or group[0] != rep:
+                total += sum(
+                    1 for _ in self._group_keys(rep, group, canon, moved_tids)
+                )
+                continue
+            for srcs, anns, bucket in (
+                (self._low_src[rep], self._low_ann[rep], self._low_set[rep]),
+                (self._up_snk[rep], self._up_ann[rep], self._up_set[rep]),
+            ):
                 if srcs:
-                    anns = self._low_ann[vid]
-                    for i in range(len(srcs)):
-                        tid = srcs[i]
-                        ctid = tid_memo.get(tid)
-                        if ctid is None:
-                            ctid = self._canonical_tid(tid, canon)
-                            tid_memo[tid] = ctid
-                        emitted.add(ctid * span + anns[i])
-            for vid in group:
-                snks = self._up_snk[vid]
-                if snks:
-                    anns = self._up_ann[vid]
-                    for i in range(len(snks)):
-                        tid = snks[i]
-                        ctid = tid_memo.get(tid)
-                        if ctid is None:
-                            ctid = self._canonical_tid(tid, canon)
-                            tid_memo[tid] = ctid
-                        emitted.add(("u", ctid * span + anns[i]))
-            for vid in group:
-                dsts = self._succ_dst[vid]
-                if dsts:
-                    anns = self._succ_ann[vid]
-                    for i in range(len(dsts)):
-                        ann = anns[i]
-                        d = canon[dsts[i]]
-                        if d == rep and ann == idk:
-                            continue
-                        emitted.add(("e", d * span + ann))
-            for vid in group:
-                rows = self._proj_rows[vid]
-                if rows:
-                    for ctor, index, target, ann in rows:
-                        emitted.add(
-                            ("p", ctor, index, canon[target], ann)
+                    total += len(srcs)
+                    if not moved_tids.keys().isdisjoint(srcs):
+                        total += _rewrites(
+                            bucket,
+                            [
+                                moved_tids[tid] * span + ann
+                                for tid, ann in zip(srcs, anns)
+                                if tid in moved_tids
+                            ],
                         )
-            total += len(emitted)
+            dsts = self._succ_dst[rep]
+            if dsts:
+                total += len(dsts)
+                if not moved_vids.isdisjoint(dsts):
+                    total += _rewrites(
+                        self._succ_set[rep],
+                        [
+                            None
+                            if canon[dst] == rep and ann == idk
+                            else canon[dst] * span + ann
+                            for dst, ann in zip(dsts, self._succ_ann[rep])
+                            if dst in moved_vids
+                        ],
+                    )
+            rows = self._proj_rows[rep]
+            if rows:
+                total += len(rows)
+                if not moved_vids.isdisjoint(map(_target, rows)):
+                    total += _rewrites(
+                        self._proj_set[rep],
+                        [
+                            (ctor, index, canon[target], ann)
+                            for ctor, index, target, ann in rows
+                            if target in moved_vids
+                        ],
+                    )
         return total
+
+    def _group_keys(
+        self,
+        rep: int,
+        group: list[int],
+        canon: list[int],
+        moved_tids: dict[int, int],
+    ) -> Iterator[tuple]:
+        """A merged class's facts as int keys, rewritten onto ``rep`` and
+        deduplicated, kind by kind in the order of ``group``."""
+        span = self._span
+        idk = self._idk
+        emitted: set = set()
+        for kind, src_cols, ann_cols in (
+            (_LOWER, self._low_src, self._low_ann),
+            (_UPPER, self._up_snk, self._up_ann),
+        ):
+            for vid in group:
+                srcs = src_cols[vid]
+                if srcs:
+                    for tid, ann in zip(srcs, ann_cols[vid]):
+                        key = (kind, moved_tids.get(tid, tid) * span + ann)
+                        if key not in emitted:
+                            emitted.add(key)
+                            yield key
+        for vid in group:
+            dsts = self._succ_dst[vid]
+            if dsts:
+                for dst, ann in zip(dsts, self._succ_ann[vid]):
+                    d = canon[dst]
+                    if d == rep and ann == idk:
+                        continue
+                    key = (_EDGE, d * span + ann)
+                    if key not in emitted:
+                        emitted.add(key)
+                        yield key
+        for vid in group:
+            rows = self._proj_rows[vid]
+            if rows:
+                for ctor, index, target, ann in rows:
+                    key = (_PROJ, ctor, index, canon[target], ann)
+                    if key not in emitted:
+                        emitted.add(key)
+                        yield key
 
     def canonical_facts(
         self, cmap: dict[Variable, Variable] | None = None
@@ -1389,7 +1469,10 @@ class FlatSolver:
         Decodes to the same object-level :data:`FactKey` stream as
         :meth:`repro.core.solver.Solver.canonical_facts`, which is what
         the cross-core equivalence suite compares.  ``cmap`` is a
-        :meth:`collapse_map` the caller already holds.
+        :meth:`collapse_map` the caller already holds.  A lone unmoved
+        variable's columns are yielded as stored; only merged groups and
+        the entries that name a moved variable are rewritten and
+        deduplicated.
         """
         if cmap is None:
             canon = self._canon_array()
@@ -1399,85 +1482,82 @@ class FlatSolver:
             for var, rep in cmap.items():
                 if var != rep:
                     canon[ids[var]] = ids[rep]
+        span = self._span
         idk = self._idk
         vars_ = self._vars
         terms = self._terms
         ctors = self._ctors
-
-        def cv(vid: int) -> Variable:
-            return vars_[canon[vid]]
-
-        tid_memo: dict[int, Constructed] = {}
-
-        def ct(tid: int) -> Constructed:
-            term = tid_memo.get(tid)
-            if term is None:
-                args = self._term_args[tid]
-                if not args:
-                    term = terms[tid]
-                else:
-                    mapped = tuple(cv(a) for a in args)
-                    original = terms[tid]
-                    if mapped == original.args:
-                        term = original
-                    else:
-                        term = Constructed(original.constructor, mapped)
-                tid_memo[tid] = term
-            return term
-
+        moved_vids, moved_tids = self._moved_ids(canon)
         members = self._group_members(canon)
-        by_rep: dict[Variable, list[int]] = {}
-        for rep, group in members.items():
-            by_rep[vars_[rep]] = group
-        for rep_var in sorted(by_rep, key=lambda v: v.name):
-            group = sorted(by_rep[rep_var], key=lambda vid: vars_[vid].name)
-            emitted: set[FactKey] = set()
-            for vid in group:
-                srcs = self._low_src[vid]
-                if srcs:
-                    anns = self._low_ann[vid]
-                    for i in range(len(srcs)):
-                        key = ("lower", rep_var, ct(srcs[i]), anns[i])
-                        if key not in emitted:
-                            emitted.add(key)
-                            yield key
-            for vid in group:
-                snks = self._up_snk[vid]
-                if snks:
-                    anns = self._up_ann[vid]
-                    for i in range(len(snks)):
-                        key = ("upper", rep_var, ct(snks[i]), anns[i])
-                        if key not in emitted:
-                            emitted.add(key)
-                            yield key
-            for vid in group:
-                dsts = self._succ_dst[vid]
-                if dsts:
-                    anns = self._succ_ann[vid]
-                    for i in range(len(dsts)):
-                        ann = anns[i]
-                        d = cv(dsts[i])
-                        if d == rep_var and ann == idk:
+        for rep in sorted(members, key=lambda vid: vars_[vid].name):
+            group = members[rep]
+            rep_var = vars_[rep]
+            if len(group) > 1 or group[0] != rep:
+                group = sorted(group, key=lambda vid: vars_[vid].name)
+                for key in self._group_keys(rep, group, canon, moved_tids):
+                    if key[0] == _PROJ:
+                        _kind, ctor, index, target, ann = key
+                        yield ("proj", rep_var, ctors[ctor], index, vars_[target], ann)
+                        continue
+                    kind, packed = key
+                    slot, ann = divmod(packed, span)
+                    if kind == _EDGE:
+                        yield ("edge", rep_var, vars_[slot], ann)
+                    else:
+                        name = "lower" if kind == _LOWER else "upper"
+                        yield (name, rep_var, terms[slot], ann)
+                continue
+            for kind, srcs, anns, bucket in (
+                ("lower", self._low_src[rep], self._low_ann[rep], self._low_set[rep]),
+                ("upper", self._up_snk[rep], self._up_ann[rep], self._up_set[rep]),
+            ):
+                if not srcs:
+                    continue
+                if moved_tids.keys().isdisjoint(srcs):
+                    for tid, ann in zip(srcs, anns):
+                        yield (kind, rep_var, terms[tid], ann)
+                    continue
+                rewritten: set[int] = set()
+                for tid, ann in zip(srcs, anns):
+                    ctid = moved_tids.get(tid)
+                    if ctid is not None:
+                        key = ctid * span + ann
+                        if key in bucket or key in rewritten:
                             continue
-                        key = ("edge", rep_var, d, ann)
-                        if key not in emitted:
-                            emitted.add(key)
-                            yield key
-            for vid in group:
-                rows = self._proj_rows[vid]
-                if rows:
-                    for ctor, index, target, ann in rows:
-                        key = (
-                            "proj",
-                            rep_var,
-                            ctors[ctor],
-                            index,
-                            cv(target),
-                            ann,
-                        )
-                        if key not in emitted:
-                            emitted.add(key)
-                            yield key
+                        rewritten.add(key)
+                        tid = ctid
+                    yield (kind, rep_var, terms[tid], ann)
+            dsts = self._succ_dst[rep]
+            if dsts:
+                anns = self._succ_ann[rep]
+                if moved_vids.isdisjoint(dsts):
+                    for dst, ann in zip(dsts, anns):
+                        yield ("edge", rep_var, vars_[dst], ann)
+                else:
+                    bucket = self._succ_set[rep]
+                    rewritten = set()
+                    for dst, ann in zip(dsts, anns):
+                        d = canon[dst]
+                        if d != dst:
+                            if d == rep and ann == idk:
+                                continue
+                            key = d * span + ann
+                            if key in bucket or key in rewritten:
+                                continue
+                            rewritten.add(key)
+                        yield ("edge", rep_var, vars_[d], ann)
+            rows = self._proj_rows[rep]
+            if rows:
+                bucket = self._proj_set[rep]
+                rewritten_rows: set = set()
+                for ctor, index, target, ann in rows:
+                    t = canon[target]
+                    if t != target:
+                        row = (ctor, index, t, ann)
+                        if row in bucket or row in rewritten_rows:
+                            continue
+                        rewritten_rows.add(row)
+                    yield ("proj", rep_var, ctors[ctor], index, vars_[t], ann)
 
     # -- persistence hooks -----------------------------------------------------
 
@@ -1517,57 +1597,87 @@ class FlatSolver:
         for src, snk, ann in self._met:
             yield terms[src], terms[snk], ann
 
-    def _install_fact(self, fact: tuple) -> None:
-        """Insert one already-closed object fact without draining.
+    def _install_snapshot(self, snap: Any) -> None:
+        """Fill this empty solver with a snapshot's solved form.
 
-        The persist loader installs a dumped solved form through this:
-        the enqueue path interns, dedupes and maintains the adjacency
-        mirrors, and the caller discards the worklist records and marks
-        the lower columns drained afterwards (:meth:`_settle_loaded`).
-        """
-        kind = fact[0]
-        if kind == "lower":
-            _tag, var, src, ann = fact
-            self._enqueue_lower(
-                self._intern_var(var), self._intern_term(src), ann
-            )
-        elif kind == "upper":
-            _tag, var, snk, ann = fact
-            self._enqueue_upper(
-                self._intern_var(var), self._intern_term(snk), ann
-            )
-        elif kind == "edge":
-            _tag, src_var, dst_var, ann = fact
-            self._enqueue_edge(
-                self._intern_var(src_var), self._intern_var(dst_var), ann
-            )
-        elif kind == "proj":
-            _tag, var, ctor, index, target, ann = fact
-            self._enqueue_proj(
-                self._intern_var(var),
-                self._intern_ctor(ctor),
-                index,
-                self._intern_var(target),
-                ann,
-            )
-        else:
-            raise ValueError(f"unknown fact kind {kind!r}")
-
-    def _settle_loaded(self) -> None:
-        """Discard install-time worklist records and mark lowers drained.
-
-        A dumped fixpoint already composed every stored lower against
-        its neighbor tables; facts added after the load snapshot against
-        these high-water marks (difference propagation across the
+        ``snap`` is a :class:`repro.core.persist.SnapshotTables`.  Its
+        variable, constructor and term tables are interned once; each
+        fact row then maps straight onto column ids and is appended to
+        its column — no worklist record, since a dumped fixpoint already
+        composed every stored lower against its neighbors, and the lower
+        columns count as drained (difference propagation across the
         snapshot boundary).
         """
-        self._wq.clear()
-        self._whead = 0
-        low_src = self._low_src
+        vid = [self._intern_var(var) for var in snap.variables]
+        cid = [self._intern_ctor(ctor) for ctor in snap.constructors]
+        tid = [self._intern_term(term) for term in snap.terms]
+        elements = snap.elements
+        span = self._span
+        # ``zip(it, it, it)`` walks a flat row list three ints at a time.
+        for rows, src_cols, ann_cols, set_cols in (
+            (snap.lowers, self._low_src, self._low_ann, self._low_set),
+            (snap.uppers, self._up_snk, self._up_ann, self._up_set),
+        ):
+            it = iter(rows)
+            for v, t, e in zip(it, it, it):
+                v = vid[v]
+                t = tid[t]
+                ann = elements[e]
+                bucket = set_cols[v]
+                if bucket is None:
+                    bucket = set_cols[v] = set()
+                    src_cols[v] = []
+                    ann_cols[v] = []
+                key = t * span + ann
+                if key not in bucket:
+                    bucket.add(key)
+                    src_cols[v].append(t)
+                    ann_cols[v].append(ann)
+        idk = self._idk
+        pred = self._pred
+        id_out = self._id_out
+        it = iter(snap.edges)
+        for s, d, e in zip(it, it, it):
+            s = vid[s]
+            d = vid[d]
+            ann = elements[e]
+            bucket = self._succ_set[s]
+            if bucket is None:
+                bucket = self._succ_set[s] = set()
+                self._succ_dst[s] = []
+                self._succ_ann[s] = []
+            key = d * span + ann
+            if key not in bucket:
+                bucket.add(key)
+                self._succ_dst[s].append(d)
+                self._succ_ann[s].append(ann)
+                if ann == idk:
+                    if pred[d] is None:
+                        pred[d] = {}
+                    pred[d][s] = None
+                    id_out[s] += 1
+        it = iter(snap.projections)
+        for v, c, index, t, e in zip(it, it, it, it, it):
+            v = vid[v]
+            row = (cid[c], index, vid[t], elements[e])
+            bucket = self._proj_set[v]
+            if bucket is None:
+                bucket = self._proj_set[v] = set()
+                self._proj_rows[v] = []
+            if row not in bucket:
+                bucket.add(row)
+                self._proj_rows[v].append(row)
+        it = iter(snap.merged)
+        for loser, rep in zip(it, it):
+            self._ufp[vid[loser]] = vid[rep]
         lower_drained = self._lower_drained
-        for vid in range(len(low_src)):
-            col = low_src[vid]
-            lower_drained[vid] = len(col) if col else 0
+        for v, col in enumerate(self._low_src):
+            lower_drained[v] = len(col) if col else 0
+        for fact, snapshot in snap.pending:
+            self._enqueue_pending(fact, snapshot)
+        for src, snk, ann in snap.met:
+            self._met.add((self._intern_term(src), self._intern_term(snk), ann))
+        self.inconsistencies.extend(snap.inconsistencies)
 
     def _enqueue_pending(self, fact: tuple, snap: int) -> None:
         """Re-queue one checkpointed pending fact (already in tables)."""

@@ -22,20 +22,29 @@ provides the persistence half as plain JSON:
   :class:`~repro.core.errors.SnapshotCorrupt` instead of silently
   wrong verdicts.
 
-Format version 2 stores each *distinct* annotation once in an
-``elements`` table (a solved form repeats the same few monoid elements
-across tens of thousands of facts) and every fact carries just an index
-into it — the on-disk analog of the compiled algebra's representation.
-Version-1 dumps (inline state-mapping tuples per fact) still load.
+Format version 4 applies the compiled representation to the whole
+solved form.  A snapshot holds four tables — variable names,
+constructors, constructed terms (a constructor index plus argument
+indices) and annotation elements — and every fact is a row of ints
+indexing them, in one flat list per kind: ``lowers`` and ``uppers`` as
+``[var, term, elem]``, ``edges`` as ``[src, dst, elem]``,
+``projections`` as ``[var, ctor, index, target, elem]``.  ``merged``
+lists the cycle-elimination merges as ``[loser, representative]``
+pairs.  Every table is written in a deterministic order, so one solved
+form dumps to the same bytes in every process.
 
-Format version 3 is emitted only for **checkpoints** — dumps of a
-solver whose worklist is non-empty, i.e. a solve interrupted by a
-:class:`~repro.core.budget.Budget` or cancellation.  It adds the
-pending worklist, the met-pair memo and any recorded inconsistencies,
-so a later :func:`load_solver` + :meth:`~repro.core.solver.Solver.resume`
+A dump of a solver whose worklist is non-empty — a solve interrupted
+by a :class:`~repro.core.budget.Budget` or cancellation — is a
+**checkpoint**: it adds the pending worklist, the met-pair memo and
+any recorded inconsistencies, in the same int encoding, so a later
+:func:`load_solver` + :meth:`~repro.core.solver.Solver.resume`
 continues the solve exactly where it stopped and converges to the same
-fixpoint an uninterrupted run would have reached.  Fully solved dumps
-keep emitting version 2 unchanged.
+fixpoint an uninterrupted run would have reached.
+
+Earlier formats still load: version 1 (inline annotations per fact),
+version 2 (an annotation element table, facts spelling out their
+terms) and version 3 (version 2 plus the checkpoint sections) are
+upgraded into the version-4 tables on load.
 
 Only :class:`~repro.core.annotations.MonoidAlgebra`,
 :class:`~repro.core.annotations.CompiledMonoidAlgebra` and
@@ -50,8 +59,7 @@ import hashlib
 import json
 import os
 import pathlib
-from collections import deque
-from typing import Any, Callable
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.core.annotations import (
     CompiledMonoidAlgebra,
@@ -65,11 +73,8 @@ from repro.core.terms import Constructed, Constructor, Variable
 from repro.dfa.automaton import DFA
 from repro.dfa.monoid import RepresentativeFunction
 
-FORMAT_VERSION = 2
-#: Emitted instead of :data:`FORMAT_VERSION` when the dump is a
-#: checkpoint of an interrupted solve (non-empty worklist).
-CHECKPOINT_VERSION = 3
-SUPPORTED_VERSIONS = (1, 2, 3)
+FORMAT_VERSION = 4
+SUPPORTED_VERSIONS = (1, 2, 3, 4)
 
 #: Difference-propagation snapshot assigned to reloaded pending facts:
 #: larger than any lower-bound sequence, so the resumed drain clamps it
@@ -77,6 +82,11 @@ SUPPORTED_VERSIONS = (1, 2, 3)
 #: (they are an optimization, not state); re-walking the whole window
 #: after a reload costs only deduped re-compositions.
 _DRAINED_ALL = 1 << 62
+
+#: The fact kinds of a checkpoint's ``pending`` rows, by the code that
+#: opens each row.
+_PENDING_KINDS = ("lower", "upper", "edge", "proj")
+_PENDING_CODES = {kind: code for code, kind in enumerate(_PENDING_KINDS)}
 
 
 # -- symbols: JSON-safe encoding of hashable alphabet symbols -----------------
@@ -176,107 +186,168 @@ def _decode_annotation(data: Any) -> Any:
     return RepresentativeFunction(tuple(data))
 
 
-class _ElementTable:
-    """Dump-side interning of distinct annotations into an index table.
+class _Encoder:
+    """Dump-side interning into the version-4 tables.
 
-    A solved form repeats the same handful of monoid elements across
-    thousands of facts; version-2 dumps store each element's state
-    mapping once and let every fact carry just an index.
+    Each distinct variable, constructor, term and annotation gets the
+    next index of its table the first time a row names it, so a table's
+    order is the order of the rows that first use its entries.
     """
 
     def __init__(self, to_object: Callable[[Any], Any]):
         self._to_object = to_object
-        self._indices: dict[Any, int] = {}
-        self.encoded: list[Any] = []
+        self._var_ids: dict[Variable, int] = {}
+        self.variables: list[str] = []
+        self._ctor_ids: dict[Constructor, int] = {}
+        self.constructors: list[list] = []
+        self._term_ids: dict[Constructed, int] = {}
+        self.terms: list[list[int]] = []
+        self._elem_ids: dict[Any, int] = {}
+        self.elements: list[Any] = []
 
-    def index_of(self, ann: Any) -> int:
-        idx = self._indices.get(ann)
+    def var(self, var: Variable) -> int:
+        idx = self._var_ids.get(var)
         if idx is None:
-            idx = self._indices[ann] = len(self.encoded)
-            self.encoded.append(_encode_annotation(self._to_object(ann)))
+            idx = self._var_ids[var] = len(self.variables)
+            self.variables.append(var.name)
         return idx
 
+    def ctor(self, ctor: Constructor) -> int:
+        idx = self._ctor_ids.get(ctor)
+        if idx is None:
+            idx = self._ctor_ids[ctor] = len(self.constructors)
+            variance = list(ctor.variance) if ctor.variance is not None else None
+            self.constructors.append([ctor.name, ctor.arity, variance])
+        return idx
 
-def _encode_constructed(expr: Constructed) -> dict:
-    ctor = expr.constructor
-    return {
-        "name": ctor.name,
-        "arity": ctor.arity,
-        "variance": list(ctor.variance) if ctor.variance is not None else None,
-        "args": [arg.name for arg in expr.args],
-    }
+    def term(self, term: Constructed) -> int:
+        idx = self._term_ids.get(term)
+        if idx is None:
+            row = [self.ctor(term.constructor)]
+            row.extend(self.var(arg) for arg in term.args)
+            idx = self._term_ids[term] = len(self.terms)
+            self.terms.append(row)
+        return idx
+
+    def elem(self, ann: Any) -> int:
+        idx = self._elem_ids.get(ann)
+        if idx is None:
+            idx = self._elem_ids[ann] = len(self.elements)
+            self.elements.append(_encode_annotation(self._to_object(ann)))
+        return idx
+
+    def fact_rows(self, facts: Iterable[tuple]) -> dict[str, list[int]]:
+        """The rows of ``facts``, one flat list per kind.
+
+        This is the dump's hot path: a slot already in its table costs
+        one dict probe, and since facts arrive grouped by variable (a
+        canonical walk goes one representative at a time), the primary
+        variable is looked up once per run.
+        """
+        rows: dict[str, list[int]] = {"lower": [], "upper": [], "edge": [], "proj": []}
+        var_ids, term_ids, elem_ids = self._var_ids, self._term_ids, self._elem_ids
+        last = None
+        v = -1
+        for fact in facts:
+            if fact[1] is not last:
+                last = fact[1]
+                v = self.var(last)
+            kind = fact[0]
+            ann = fact[-1]
+            e = elem_ids.get(ann)
+            if e is None:
+                e = self.elem(ann)
+            if kind == "edge":
+                d = var_ids.get(fact[2])
+                rows["edge"] += (v, self.var(fact[2]) if d is None else d, e)
+            elif kind == "proj":
+                rows["proj"] += (v, self.ctor(fact[2]), fact[3], self.var(fact[4]), e)
+            elif kind == "lower" or kind == "upper":
+                t = term_ids.get(fact[2])
+                rows[kind] += (v, self.term(fact[2]) if t is None else t, e)
+            else:
+                raise TypeError(f"cannot serialize fact {fact!r}")
+        return rows
 
 
-def _decode_constructed(data: dict) -> Constructed:
-    variance = tuple(data["variance"]) if data["variance"] is not None else None
-    ctor = Constructor(data["name"], data["arity"], variance)
-    return Constructed(ctor, tuple(Variable(n) for n in data["args"]))
+def _encode_body(
+    encoder: _Encoder,
+    facts: Iterable[tuple],
+    merged: Iterable[tuple[Variable, Variable]],
+    checkpoint: tuple[list, list, list] | None = None,
+) -> dict[str, Any]:
+    """The version-4 tables and rows of a solved form.
 
-
-def _encode_pending_fact(
-    fact: tuple, elements: "_ElementTable", canon_var, canon_term
-) -> list:
-    """One worklist entry, for checkpoint dumps (version 3).
-
-    Variable slots are canonicalized through the dump's collapse map:
-    the dumped tables are keyed by representatives, so a pending fact
-    naming a merged-away variable would pair with nothing after reload.
+    ``facts`` are object fact keys; ``merged`` the ``(loser,
+    representative)`` pairs; ``checkpoint`` the pending facts, met
+    triples and inconsistencies of an interrupted solve, if any.
     """
-    kind = fact[0]
-    if kind == "lower":
-        _tag, var, src, ann = fact
-        return [
-            "lower",
-            canon_var(var).name,
-            _encode_constructed(canon_term(src)),
-            elements.index_of(ann),
-        ]
-    if kind == "upper":
-        _tag, var, snk, ann = fact
-        return [
-            "upper",
-            canon_var(var).name,
-            _encode_constructed(canon_term(snk)),
-            elements.index_of(ann),
-        ]
-    if kind == "edge":
-        _tag, src_var, dst_var, ann = fact
-        return [
-            "edge",
-            canon_var(src_var).name,
-            canon_var(dst_var).name,
-            elements.index_of(ann),
-        ]
-    if kind == "proj":
-        _tag, var, ctor, index, target, ann = fact
-        return [
-            "proj",
-            canon_var(var).name,
-            _encode_constructor(ctor),
-            index,
-            canon_var(target).name,
-            elements.index_of(ann),
-        ]
-    raise TypeError(f"cannot serialize pending fact {fact!r}")
-
-
-def _encode_constructor(ctor: Constructor) -> dict:
+    rows = encoder.fact_rows(facts)
+    merged_rows: list[int] = []
+    for loser, rep in merged:
+        merged_rows += (encoder.var(loser), encoder.var(rep))
+    extra: dict[str, Any] = {}
+    if checkpoint is not None:
+        pending, met, inconsistencies = checkpoint
+        pending_rows: list[int] = []
+        for fact in pending:
+            pending_rows.append(_PENDING_CODES[fact[0]])
+            pending_rows += encoder.fact_rows((fact,))[fact[0]]
+        met_rows: list[int] = []
+        for src, snk, ann in met:
+            met_rows += (encoder.term(src), encoder.term(snk), encoder.elem(ann))
+        inconsistency_rows: list[int] = []
+        for inc in inconsistencies:
+            inconsistency_rows += (
+                encoder.term(inc.source),
+                encoder.term(inc.sink),
+                encoder.elem(inc.annotation),
+            )
+        extra = {
+            "pending": pending_rows,
+            "met": met_rows,
+            "inconsistencies": inconsistency_rows,
+        }
     return {
-        "name": ctor.name,
-        "arity": ctor.arity,
-        "variance": list(ctor.variance) if ctor.variance is not None else None,
+        "variables": encoder.variables,
+        "constructors": encoder.constructors,
+        "terms": encoder.terms,
+        "elements": encoder.elements,
+        "lowers": rows["lower"],
+        "uppers": rows["upper"],
+        "edges": rows["edge"],
+        "projections": rows["proj"],
+        "merged": merged_rows,
+        **extra,
     }
+
+
+def _term_order(term: Constructed) -> tuple:
+    ctor = term.constructor
+    args = tuple(a.name for a in term.args)
+    return (ctor.name, ctor.arity, ctor.variance or (), args)
+
+
+def _algebra_info(algebra: Any) -> tuple[str, DFA | None, Callable[[Any], Any]]:
+    """``(tag, machine, to_object)`` of a serializable algebra."""
+    if isinstance(algebra, CompiledMonoidAlgebra):
+        return "compiled", algebra.machine, algebra.decode
+    if isinstance(algebra, MonoidAlgebra):
+        return "monoid", algebra.machine, lambda ann: ann
+    if isinstance(algebra, UnannotatedAlgebra):
+        return "unannotated", None, lambda ann: ann
+    raise TypeError(f"cannot serialize systems over {type(algebra).__name__}")
 
 
 def dump_solver(solver: Solver | FlatSolver) -> str:
     """Serialize a solver's solved form (and its machine, if any).
 
-    A solver at its fixpoint dumps as format version 2, exactly as
-    before.  A solver with a non-empty worklist — a solve interrupted by
-    budget exhaustion or cancellation — dumps as a version-3
-    *checkpoint* carrying the pending worklist, the met-pair memo and
-    recorded inconsistencies; loading one restores the interrupted state
-    and :meth:`~repro.core.solver.Solver.resume` finishes the solve.
+    Writes format version 4 (see the module docstring).  A solver with
+    a non-empty worklist — a solve interrupted by budget exhaustion or
+    cancellation — dumps as a *checkpoint* carrying the pending
+    worklist, the met-pair memo and recorded inconsistencies; loading
+    one restores the interrupted state and
+    :meth:`~repro.core.solver.Solver.resume` finishes the solve.
 
     :class:`~repro.core.flatcore.FlatSolver` systems dump in the *same*
     canonical fact format — the on-disk solved form is a function of the
@@ -285,148 +356,276 @@ def dump_solver(solver: Solver | FlatSolver) -> str:
     A flat dump loads into an object solver (and vice versa) by
     stripping or ignoring that marker.
     """
-    algebra = solver.algebra
-    if isinstance(algebra, CompiledMonoidAlgebra):
-        algebra_tag = "compiled"
-        machine: DFA | None = algebra.machine
-        to_object: Callable[[Any], Any] = algebra.decode
-    elif isinstance(algebra, MonoidAlgebra):
-        algebra_tag = "monoid"
-        machine = algebra.machine
-        to_object = lambda ann: ann  # noqa: E731 — already an object annotation
-    elif isinstance(algebra, UnannotatedAlgebra):
-        algebra_tag = "unannotated"
-        machine = None
-        to_object = lambda ann: ann  # noqa: E731
-    else:
-        raise TypeError(
-            f"cannot serialize systems over {type(algebra).__name__}"
-        )
-    machine_data = dfa_to_dict(machine) if machine is not None else None
-    elements = _ElementTable(to_object)
-    lowers = []
-    uppers = []
-    edges = []
-    projections = []
+    algebra_tag, machine, to_object = _algebra_info(solver.algebra)
     # Dumps canonicalize through the *full* identity-cycle quotient
     # (canonical_facts): the on-disk solved form is then a function of
     # the solution alone, not of which cycles the bounded online
     # sampler happened to merge during this particular run.  The
-    # loser → representative map rides along so merged-away variables
+    # loser → representative pairs ride along so merged-away variables
     # stay queryable after reload.
-    merged: dict[str, str] = {}
     if solver.cycle_elim:
-        cmap = solver.collapse_map()
-        merged = {var.name: rep.name for var, rep in cmap.items() if var != rep}
-
-        def canon_var(v: Variable) -> Variable:
-            return cmap.get(v, v)
-
-        def canon_term(term: Constructed) -> Constructed:
-            if term.args and any(cmap.get(a, a) != a for a in term.args):
-                return Constructed(
-                    term.constructor, tuple(cmap.get(a, a) for a in term.args)
-                )
-            return term
-
-        fact_iter = solver.canonical_facts(cmap)
+        moved = solver._moved()
+        facts: Iterable[tuple] = solver.canonical_facts(moved)
     else:
-        canon_var = lambda v: v  # noqa: E731
-        canon_term = lambda t: t  # noqa: E731
-
-        def _raw_facts():
-            for var in sorted(solver.variables(), key=lambda v: v.name):
-                for src, ann in solver.lower_bounds(var):
-                    yield ("lower", var, src, ann)
-                for snk, ann in solver.upper_bounds(var):
-                    yield ("upper", var, snk, ann)
-                for dst, ann in solver.edges_from(var):
-                    yield ("edge", var, dst, ann)
-                for ctor, index, target, ann in solver.projection_sinks(var):
-                    yield ("proj", var, ctor, index, target, ann)
-
-        fact_iter = _raw_facts()
-    for fact in fact_iter:
-        kind = fact[0]
-        if kind == "lower":
-            _tag, var, src, ann = fact
-            lowers.append(
-                [var.name, _encode_constructed(src), elements.index_of(ann)]
-            )
-        elif kind == "upper":
-            _tag, var, snk, ann = fact
-            uppers.append(
-                [var.name, _encode_constructed(snk), elements.index_of(ann)]
-            )
-        elif kind == "edge":
-            _tag, var, dst, ann = fact
-            edges.append([var.name, dst.name, elements.index_of(ann)])
-        else:
-            _tag, var, ctor, index, target, ann = fact
-            projections.append(
-                [
-                    var.name,
-                    _encode_constructor(ctor),
-                    index,
-                    target.name,
-                    elements.index_of(ann),
-                ]
-            )
+        moved = {}
+        facts = _raw_facts(solver)
+    merged = sorted(moved.items(), key=lambda pair: pair[0].name)
+    checkpoint = None
+    if solver.pending_count():
+        checkpoint = _checkpoint(solver, moved, to_object)
     payload: dict[str, Any] = {
         "version": FORMAT_VERSION,
         "core": "flat" if isinstance(solver, FlatSolver) else "object",
         "algebra": algebra_tag,
-        "machine": machine_data,
+        "machine": dfa_to_dict(machine) if machine is not None else None,
         "fingerprint": machine_fingerprint(machine),
         "pn_projections": solver.pn_projections,
         "prune_dead": solver.prune_dead,
         "cycle_elim": solver.cycle_elim,
-        "elements": elements.encoded,
-        "lowers": lowers,
-        "uppers": uppers,
-        "edges": edges,
-        "projections": projections,
     }
-    if merged:
-        payload["merged"] = merged
-    if solver.pending_count():
-        payload["version"] = CHECKPOINT_VERSION
-        pending_pairs = (
-            solver._pending_object_facts()
-            if isinstance(solver, FlatSolver)
-            else iter(solver._work)
+    payload.update(_encode_body(_Encoder(to_object), facts, merged, checkpoint))
+    return json.dumps(payload, separators=(",", ":"))
+
+
+def _raw_facts(solver: Solver | FlatSolver) -> Iterator[tuple]:
+    """Every stored fact, variable by variable in name order (dumps of
+    solvers without cycle elimination, which have no quotient)."""
+    for var in sorted(solver.variables(), key=lambda v: v.name):
+        for src, ann in solver.lower_bounds(var):
+            yield ("lower", var, src, ann)
+        for snk, ann in solver.upper_bounds(var):
+            yield ("upper", var, snk, ann)
+        for dst, ann in solver.edges_from(var):
+            yield ("edge", var, dst, ann)
+        for ctor, index, target, ann in solver.projection_sinks(var):
+            yield ("proj", var, ctor, index, target, ann)
+
+
+def _checkpoint(
+    solver: Solver | FlatSolver,
+    moved: dict[Variable, Variable],
+    to_object: Callable[[Any], Any],
+) -> tuple[list, list, list]:
+    """The pending facts, met triples and inconsistencies of an
+    interrupted solve, with variable slots resolved through ``moved``.
+
+    The dumped tables are keyed by representatives, so a pending fact
+    naming a merged-away variable would pair with nothing after reload;
+    met terms canonicalize like the facts, so resumed meets over the
+    reloaded tables hit the memo.  The memo is a set, so it is sorted
+    into a deterministic order.
+    """
+
+    def cv(var: Variable) -> Variable:
+        return moved.get(var, var)
+
+    def ct(term: Constructed) -> Constructed:
+        if any(a in moved for a in term.args):
+            return Constructed(term.constructor, tuple(cv(a) for a in term.args))
+        return term
+
+    if isinstance(solver, FlatSolver):
+        work: Iterable = solver._pending_object_facts()
+        met: Iterable = solver._met_object_facts()
+    else:
+        work, met = solver._work, solver._met
+    pending = []
+    for fact, _snap in work:
+        kind = fact[0]
+        if kind == "lower" or kind == "upper":
+            pending.append((kind, cv(fact[1]), ct(fact[2]), fact[3]))
+        elif kind == "edge":
+            pending.append((kind, cv(fact[1]), cv(fact[2]), fact[3]))
+        elif kind == "proj":
+            _tag, var, ctor, index, target, ann = fact
+            pending.append((kind, cv(var), ctor, index, cv(target), ann))
+        else:
+            raise TypeError(f"cannot serialize pending fact {fact!r}")
+
+    def met_order(triple: tuple) -> tuple:
+        encoded = _encode_annotation(to_object(triple[2]))
+        return (
+            _term_order(triple[0]),
+            _term_order(triple[1]),
+            tuple(encoded) if encoded is not None else (),
         )
-        payload["pending"] = [
-            _encode_pending_fact(fact, elements, canon_var, canon_term)
-            for fact, _snap in pending_pairs
+
+    met_triples = sorted(
+        {(ct(src), ct(snk), ann) for src, snk, ann in met}, key=met_order
+    )
+    return pending, met_triples, list(solver.inconsistencies)
+
+
+class SnapshotTables:
+    """A snapshot decoded once, ready for a core's installer.
+
+    ``variables``, ``constructors``, ``terms`` and ``elements`` are the
+    decoded tables (annotations already in the loading algebra's
+    domain); ``lowers``, ``uppers``, ``edges``, ``projections`` and
+    ``merged`` are the flat int rows indexing them.  The checkpoint
+    sections are decoded to objects: ``pending`` as worklist entries
+    ``(fact, snapshot)`` — lowers 0, every other kind
+    :data:`_DRAINED_ALL`, so the resumed drain walks their full lower
+    windows — ``met`` as ``(source, sink, annotation)`` triples and
+    ``inconsistencies`` as :class:`~repro.core.errors.Inconsistency`.
+    """
+
+    def __init__(self, data: dict, to_domain: Callable[[Any], Any]):
+        self.variables = [Variable(name) for name in data["variables"]]
+        self.constructors = [
+            Constructor(name, arity, tuple(variance) if variance is not None else None)
+            for name, arity, variance in data["constructors"]
         ]
-        # The met memo keeps a resumed drain from re-deriving (and the
-        # inconsistency list from double-recording) meets the
-        # interrupted run already resolved.  Its terms canonicalize like
-        # the facts, so resumed meets over the reloaded (canonical)
-        # tables hit the memo.
-        met_triples = (
-            solver._met_object_facts()
-            if isinstance(solver, FlatSolver)
-            else iter(solver._met)
+        variables, constructors = self.variables, self.constructors
+        self.terms = [
+            Constructed(constructors[row[0]], tuple(variables[a] for a in row[1:]))
+            for row in data["terms"]
+        ]
+        self.elements = [to_domain(_decode_annotation(a)) for a in data["elements"]]
+        for key, width in (
+            ("lowers", 3), ("uppers", 3), ("edges", 3), ("projections", 5),
+            ("merged", 2), ("met", 3), ("inconsistencies", 3),
+        ):
+            if len(data.get(key, ())) % width:
+                raise ValueError(
+                    f"snapshot section {key!r} is not a list of {width}-int rows"
+                )
+        self.lowers: list[int] = data["lowers"]
+        self.uppers: list[int] = data["uppers"]
+        self.edges: list[int] = data["edges"]
+        self.projections: list[int] = data["projections"]
+        self.merged: list[int] = data.get("merged", [])
+        terms, elements = self.terms, self.elements
+        self.pending = list(self._pending(data.get("pending", ())))
+        it = iter(data.get("met", ()))
+        self.met = [(terms[s], terms[k], elements[e]) for s, k, e in zip(it, it, it)]
+        it = iter(data.get("inconsistencies", ()))
+        self.inconsistencies = [
+            Inconsistency(terms[s], terms[k], elements[e])
+            for s, k, e in zip(it, it, it)
+        ]
+
+    def _pending(self, rows: list[int]) -> Iterator[tuple[tuple, int]]:
+        variables, terms, elements = self.variables, self.terms, self.elements
+        i = 0
+        while i < len(rows):
+            code = rows[i]
+            if code not in range(len(_PENDING_KINDS)):
+                raise ValueError(f"unknown pending fact kind {code!r}")
+            kind = _PENDING_KINDS[code]
+            if kind == "proj":
+                var, ctor, index, target, ann = rows[i + 1 : i + 6]
+                fact: tuple = (
+                    kind,
+                    variables[var],
+                    self.constructors[ctor],
+                    index,
+                    variables[target],
+                    elements[ann],
+                )
+                i += 6
+            else:
+                var, other, ann = rows[i + 1 : i + 4]
+                slot = variables[other] if kind == "edge" else terms[other]
+                fact = (kind, variables[var], slot, elements[ann])
+                i += 4
+            yield fact, (0 if kind == "lower" else _DRAINED_ALL)
+
+
+def _upgrade(data: dict) -> dict:
+    """Rewrite a version 1–3 payload as the version-4 tables.
+
+    Version 1 inlines each fact's annotation; versions 2 and 3 index an
+    ``elements`` table.  All three spell out every variable by name and
+    every term as a constructor object, and version 3 adds the
+    checkpoint sections with the same spelling.
+    """
+    if data["version"] >= 2:
+        old_elements = [_decode_annotation(a) for a in data["elements"]]
+        annotation: Callable[[Any], Any] = old_elements.__getitem__
+    else:
+        annotation = _decode_annotation
+    names: dict[str, Variable] = {}
+    terms: dict[tuple, Constructed] = {}
+
+    def var(name: str) -> Variable:
+        found = names.get(name)
+        if found is None:
+            found = names[name] = Variable(name)
+        return found
+
+    def ctor(cdata: dict) -> Constructor:
+        variance = cdata["variance"]
+        if variance is not None:
+            variance = tuple(variance)
+        return Constructor(cdata["name"], cdata["arity"], variance)
+
+    def term(cdata: dict) -> Constructed:
+        variance = cdata["variance"]
+        key = (
+            cdata["name"],
+            cdata["arity"],
+            tuple(variance) if variance is not None else None,
+            tuple(cdata["args"]),
         )
-        payload["met"] = [
+        found = terms.get(key)
+        if found is None:
+            found = terms[key] = Constructed(
+                ctor(cdata), tuple(var(n) for n in cdata["args"])
+            )
+        return found
+
+    def fact(kind: str, entry: list) -> tuple:
+        if kind == "lower" or kind == "upper":
+            name, tdata, ann = entry
+            return (kind, var(name), term(tdata), annotation(ann))
+        if kind == "edge":
+            src, dst, ann = entry
+            return (kind, var(src), var(dst), annotation(ann))
+        if kind == "proj":
+            name, cdata, index, target, ann = entry
+            return (kind, var(name), ctor(cdata), index, var(target), annotation(ann))
+        raise ValueError(f"unknown pending fact kind {kind!r}")
+
+    facts = [
+        fact(kind, entry)
+        for kind, key in (
+            ("lower", "lowers"), ("upper", "uppers"),
+            ("edge", "edges"), ("proj", "projections"),
+        )
+        for entry in data[key]
+    ]
+    merged = [
+        (var(loser), var(rep))
+        for loser, rep in sorted(data.get("merged", {}).items())
+    ]
+    checkpoint = None
+    if "pending" in data:
+        checkpoint = (
+            [fact(entry[0], entry[1:]) for entry in data["pending"]],
             [
-                _encode_constructed(canon_term(src)),
-                _encode_constructed(canon_term(snk)),
-                elements.index_of(ann),
-            ]
-            for src, snk, ann in met_triples
-        ]
-        payload["inconsistencies"] = [
+                (term(src), term(snk), annotation(ann))
+                for src, snk, ann in data.get("met", ())
+            ],
             [
-                _encode_constructed(inc.source),
-                _encode_constructed(inc.sink),
-                elements.index_of(inc.annotation),
-            ]
-            for inc in solver.inconsistencies
-        ]
-    return json.dumps(payload)
+                Inconsistency(term(src), term(snk), annotation(ann))
+                for src, snk, ann in data.get("inconsistencies", ())
+            ],
+        )
+    upgraded = {key: value for key, value in data.items() if key not in _BODY_KEYS}
+    upgraded["version"] = FORMAT_VERSION
+    upgraded.update(_encode_body(_Encoder(lambda ann: ann), facts, merged, checkpoint))
+    return upgraded
+
+
+#: The sections :func:`_upgrade` rewrites; every other key (the header)
+#: carries over.
+_BODY_KEYS = frozenset(
+    (
+        "elements", "lowers", "uppers", "edges", "projections",
+        "merged", "pending", "met", "inconsistencies",
+    )
+)
 
 
 def load_solver(
@@ -436,8 +635,8 @@ def load_solver(
 
     Facts are installed directly (the dump was closed, so re-closing is
     unnecessary work the loader skips); further ``add`` calls resume
-    online solving from this state.  Version-3 checkpoints additionally
-    restore the pending worklist of an interrupted solve;
+    online solving from this state.  Checkpoints additionally restore
+    the pending worklist of an interrupted solve;
     :meth:`~repro.core.solver.Solver.resume` (or any ``add``) finishes
     it.
 
@@ -478,381 +677,26 @@ def load_solver(
             f"{expected_fingerprint!r} was expected: refusing to replay "
             "it against a different property machine"
         )
-    if data.get("core") == "flat":
-        return _load_flat(data, algebra, version)
-    solver = Solver(
+    flat = data.get("core") == "flat"
+    if flat:
+        if version < 2:
+            raise ValueError("flat dumps are always format version 2 or later")
+        if not hasattr(algebra, "encode"):
+            raise ValueError(
+                f"flat dumps require a compiled algebra, got {algebra_tag!r}"
+            )
+    if version < FORMAT_VERSION:
+        data = _upgrade(data)
+    # A compiled algebra solves over table indices, not functions.
+    to_domain = algebra.encode if algebra_tag == "compiled" else (lambda ann: ann)
+    tables = SnapshotTables(data, to_domain)
+    solver = (FlatSolver if flat else Solver)(
         algebra,
         pn_projections=data.get("pn_projections", False),
         prune_dead=data.get("prune_dead", True),
         cycle_elim=data.get("cycle_elim", True),
     )
-    # Loaded facts carry no Reason records (see below), so the solved
-    # form cannot back a support graph: DeltaSolver checks this flag
-    # and refuses warm-loaded systems with a typed error.
-    solver.provenance_complete = False
-
-    # A solved form repeats the same few terms, variables and
-    # annotations across tens of thousands of facts; interning them
-    # makes loading linear in *distinct* objects, which is what lets a
-    # snapshot warm-start beat re-solving.  Loaded facts get no
-    # provenance entry: witness reconstruction treats a missing reason
-    # exactly like the opaque ``loaded`` rule (the dump carries no
-    # antecedents), so populating ``_reasons`` would only burn time.
-    variables: dict[str, Variable] = {}
-    constructed: dict[tuple, Constructed] = {}
-    annotations: dict[tuple | None, Any] = {}
-
-    def intern_var(name: str) -> Variable:
-        var = variables.get(name)
-        if var is None:
-            var = variables[name] = Variable(name)
-        return var
-
-    def intern_constructed(cdata: dict) -> Constructed:
-        key = (
-            cdata["name"],
-            cdata["arity"],
-            tuple(cdata["variance"]) if cdata["variance"] is not None else None,
-            tuple(cdata["args"]),
-        )
-        expr = constructed.get(key)
-        if expr is None:
-            ctor = Constructor(key[0], key[1], key[2])
-            expr = constructed[key] = Constructed(
-                ctor, tuple(intern_var(n) for n in cdata["args"])
-            )
-        return expr
-
-    def to_domain(ann: Any) -> Any:
-        # Map an object-mode annotation into the loaded algebra's domain
-        # (a compiled algebra solves over table indices, not functions).
-        if algebra_tag == "compiled":
-            return algebra.encode(ann)
-        return ann
-
-    def intern_annotation(adata: Any) -> Any:
-        key = None if adata is None else tuple(adata)
-        ann = annotations.get(key)
-        if ann is None:
-            ann = annotations[key] = to_domain(_decode_annotation(adata))
-        return ann
-
-    if version >= 2:
-        elements = [
-            to_domain(_decode_annotation(adata)) for adata in data["elements"]
-        ]
-
-        def annotation_of(ann_data: Any) -> Any:
-            return elements[ann_data]
-
-    else:
-
-        def annotation_of(ann_data: Any) -> Any:
-            return intern_annotation(ann_data)
-
-    for var_name, src_data, ann_data in data["lowers"]:
-        var = intern_var(var_name)
-        key = (intern_constructed(src_data), annotation_of(ann_data))
-        bucket = solver._lower.setdefault(var, {})
-        if key not in bucket:
-            bucket[key] = None
-            solver._lower_seq.setdefault(var, []).append(key)
-    for var_name, snk_data, ann_data in data["uppers"]:
-        var = intern_var(var_name)
-        key = (intern_constructed(snk_data), annotation_of(ann_data))
-        bucket = solver._upper.setdefault(var, {})
-        if key not in bucket:
-            bucket[key] = None
-            solver._upper_seq.setdefault(var, []).append(key)
-    for src_name, dst_name, ann_data in data["edges"]:
-        src, dst = intern_var(src_name), intern_var(dst_name)
-        ann = annotation_of(ann_data)
-        bucket = solver._succ.setdefault(src, {})
-        if (dst, ann) not in bucket:
-            bucket[(dst, ann)] = None
-            solver._succ_seq.setdefault(src, []).append((dst, ann))
-        solver._pred.setdefault(dst, {})[(src, ann)] = None
-    def intern_constructor(cdata: dict) -> Constructor:
-        variance = (
-            tuple(cdata["variance"]) if cdata["variance"] is not None else None
-        )
-        return Constructor(cdata["name"], cdata["arity"], variance)
-
-    for var_name, ctor_data, index, target_name, ann_data in data["projections"]:
-        var = intern_var(var_name)
-        ctor = intern_constructor(ctor_data)
-        key = (ctor, index, intern_var(target_name), annotation_of(ann_data))
-        bucket = solver._proj.setdefault(var, {})
-        if key not in bucket:
-            bucket[key] = None
-            solver._proj_seq.setdefault(var, []).append(key)
-
-    # Collapse map from cycle elimination: merged-away variables resolve
-    # to the representative their facts were dumped under, keeping them
-    # queryable (and countable) exactly as in the dumping process.
-    for loser_name, rep_name in data.get("merged", {}).items():
-        solver._uf.parent[intern_var(loser_name)] = intern_var(rep_name)
-
-    # Difference propagation: a dumped solver already composed each of
-    # its stored lowers against the neighbor tables it was dumped with,
-    # so they count as drained.  Facts added after the load (including
-    # the pending backlog below) snapshot against these counters; a
-    # snapshot covering the whole sequence costs at worst re-deduped
-    # compositions across the checkpoint boundary, never a missed pair.
-    solver._lower_drained = {
-        var: len(seq) for var, seq in solver._lower_seq.items()
-    }
-
-    # Checkpoint sections (version 3): the interrupted drain's backlog,
-    # met memo and inconsistency record.  Restoring them makes resume()
-    # continue the solve exactly where the dumping process stopped.
-    # Pending facts lost their insertion-time snapshots; ``_DRAINED_ALL``
-    # makes the resumed drain walk their full (clamped) lower windows.
-    if data.get("pending"):
-        work: deque = deque()
-        for entry in data["pending"]:
-            kind = entry[0]
-            if kind == "lower":
-                _tag, var_name, src_data, ann_data = entry
-                work.append(
-                    (
-                        (
-                            "lower",
-                            intern_var(var_name),
-                            intern_constructed(src_data),
-                            annotation_of(ann_data),
-                        ),
-                        0,
-                    )
-                )
-            elif kind == "upper":
-                _tag, var_name, snk_data, ann_data = entry
-                work.append(
-                    (
-                        (
-                            "upper",
-                            intern_var(var_name),
-                            intern_constructed(snk_data),
-                            annotation_of(ann_data),
-                        ),
-                        _DRAINED_ALL,
-                    )
-                )
-            elif kind == "edge":
-                _tag, src_name, dst_name, ann_data = entry
-                work.append(
-                    (
-                        (
-                            "edge",
-                            intern_var(src_name),
-                            intern_var(dst_name),
-                            annotation_of(ann_data),
-                        ),
-                        _DRAINED_ALL,
-                    )
-                )
-            elif kind == "proj":
-                _tag, var_name, ctor_data, index, target_name, ann_data = entry
-                work.append(
-                    (
-                        (
-                            "proj",
-                            intern_var(var_name),
-                            intern_constructor(ctor_data),
-                            index,
-                            intern_var(target_name),
-                            annotation_of(ann_data),
-                        ),
-                        _DRAINED_ALL,
-                    )
-                )
-            else:
-                raise ValueError(f"unknown pending fact kind {kind!r}")
-        solver._work = work
-    for src_data, snk_data, ann_data in data.get("met", ()):
-        solver._met.add(
-            (
-                intern_constructed(src_data),
-                intern_constructed(snk_data),
-                annotation_of(ann_data),
-            )
-        )
-    for src_data, snk_data, ann_data in data.get("inconsistencies", ()):
-        solver.inconsistencies.append(
-            Inconsistency(
-                intern_constructed(src_data),
-                intern_constructed(snk_data),
-                annotation_of(ann_data),
-            )
-        )
-    return solver
-
-
-def _load_flat(data: dict, algebra: Any, version: int) -> FlatSolver:
-    """Reconstruct a :class:`FlatSolver` from a ``"core": "flat"`` dump.
-
-    The fact sections are identical to object dumps; installation goes
-    through the flat enqueue path (interning, dedupe, adjacency
-    mirrors), then the install-time worklist records are discarded and
-    the lower columns marked drained — loading restores the solved form
-    without re-closure, exactly like the object loader.
-    """
-    if version < 2:
-        raise ValueError("flat dumps are always format version 2 or later")
-    if not hasattr(algebra, "encode"):
-        raise ValueError(
-            f"flat dumps require a compiled algebra, got {data.get('algebra')!r}"
-        )
-    solver = FlatSolver(
-        algebra,
-        pn_projections=data.get("pn_projections", False),
-        prune_dead=data.get("prune_dead", True),
-        cycle_elim=data.get("cycle_elim", True),
-    )
-
-    variables: dict[str, Variable] = {}
-    constructed: dict[tuple, Constructed] = {}
-
-    def intern_var(name: str) -> Variable:
-        var = variables.get(name)
-        if var is None:
-            var = variables[name] = Variable(name)
-        return var
-
-    def intern_constructed(cdata: dict) -> Constructed:
-        key = (
-            cdata["name"],
-            cdata["arity"],
-            tuple(cdata["variance"]) if cdata["variance"] is not None else None,
-            tuple(cdata["args"]),
-        )
-        expr = constructed.get(key)
-        if expr is None:
-            ctor = Constructor(key[0], key[1], key[2])
-            expr = constructed[key] = Constructed(
-                ctor, tuple(intern_var(n) for n in cdata["args"])
-            )
-        return expr
-
-    def intern_constructor(cdata: dict) -> Constructor:
-        variance = (
-            tuple(cdata["variance"]) if cdata["variance"] is not None else None
-        )
-        return Constructor(cdata["name"], cdata["arity"], variance)
-
-    elements = [
-        algebra.encode(_decode_annotation(adata)) for adata in data["elements"]
-    ]
-
-    install = solver._install_fact
-    for var_name, src_data, ann_data in data["lowers"]:
-        install(
-            (
-                "lower",
-                intern_var(var_name),
-                intern_constructed(src_data),
-                elements[ann_data],
-            )
-        )
-    for var_name, snk_data, ann_data in data["uppers"]:
-        install(
-            (
-                "upper",
-                intern_var(var_name),
-                intern_constructed(snk_data),
-                elements[ann_data],
-            )
-        )
-    for src_name, dst_name, ann_data in data["edges"]:
-        install(
-            ("edge", intern_var(src_name), intern_var(dst_name), elements[ann_data])
-        )
-    for var_name, ctor_data, index, target_name, ann_data in data["projections"]:
-        install(
-            (
-                "proj",
-                intern_var(var_name),
-                intern_constructor(ctor_data),
-                index,
-                intern_var(target_name),
-                elements[ann_data],
-            )
-        )
-    for loser_name, rep_name in data.get("merged", {}).items():
-        solver._ufp[solver._intern_var(intern_var(loser_name))] = (
-            solver._intern_var(intern_var(rep_name))
-        )
-    solver._settle_loaded()
-
-    # Checkpoint sections: re-queue the interrupted backlog.  Pending
-    # facts lost their insertion-time snapshots; ``_DRAINED_ALL`` makes
-    # the resumed drain walk their full (clamped) lower windows.
-    for entry in data.get("pending", ()):
-        kind = entry[0]
-        if kind == "lower":
-            _tag, var_name, src_data, ann_data = entry
-            solver._enqueue_pending(
-                (
-                    "lower",
-                    intern_var(var_name),
-                    intern_constructed(src_data),
-                    elements[ann_data],
-                ),
-                0,
-            )
-        elif kind == "upper":
-            _tag, var_name, snk_data, ann_data = entry
-            solver._enqueue_pending(
-                (
-                    "upper",
-                    intern_var(var_name),
-                    intern_constructed(snk_data),
-                    elements[ann_data],
-                ),
-                _DRAINED_ALL,
-            )
-        elif kind == "edge":
-            _tag, src_name, dst_name, ann_data = entry
-            solver._enqueue_pending(
-                (
-                    "edge",
-                    intern_var(src_name),
-                    intern_var(dst_name),
-                    elements[ann_data],
-                ),
-                _DRAINED_ALL,
-            )
-        elif kind == "proj":
-            _tag, var_name, ctor_data, index, target_name, ann_data = entry
-            solver._enqueue_pending(
-                (
-                    "proj",
-                    intern_var(var_name),
-                    intern_constructor(ctor_data),
-                    index,
-                    intern_var(target_name),
-                    elements[ann_data],
-                ),
-                _DRAINED_ALL,
-            )
-        else:
-            raise ValueError(f"unknown pending fact kind {kind!r}")
-    for src_data, snk_data, ann_data in data.get("met", ()):
-        solver._met.add(
-            (
-                solver._intern_term(intern_constructed(src_data)),
-                solver._intern_term(intern_constructed(snk_data)),
-                elements[ann_data],
-            )
-        )
-    for src_data, snk_data, ann_data in data.get("inconsistencies", ()):
-        solver.inconsistencies.append(
-            Inconsistency(
-                intern_constructed(src_data),
-                intern_constructed(snk_data),
-                elements[ann_data],
-            )
-        )
+    solver._install_snapshot(tables)
     return solver
 
 

@@ -38,7 +38,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Hashable, Iterable, Iterator
+from operator import attrgetter
+from typing import Any, Callable, Hashable, Iterable, Iterator
 
 from repro.core.annotations import Annotation, UnannotatedAlgebra
 from repro.core.budget import Budget
@@ -58,6 +59,19 @@ from repro.core.terms import (
 )
 
 FactKey = tuple
+
+#: Sort key of variables (representatives are the smallest name).
+_name = attrgetter("name")
+
+
+def _rewrites(bucket: Any, rewritten: list) -> int:
+    """Net count change when a lone bucket's ``rewritten`` entries (their
+    canonical keys, or ``None`` for a dropped identity self-edge) replace
+    the originals: each leaves, and each distinct key the bucket does not
+    already hold comes back.  A lone unmoved variable's bucket holds
+    distinct keys, so its canonical size is ``len(bucket)`` plus this."""
+    new = {key for key in rewritten if key is not None and key not in bucket}
+    return len(new) - len(rewritten)
 
 
 @dataclass
@@ -183,6 +197,13 @@ class Solver:
         #: (and the baseline the benchmarks measure against).
         self.cycle_elim = cycle_elim
         self.cycle_search_bound = cycle_search_bound
+        #: Variables that have stored an identity out-edge, kept
+        #: *monotonically* (never shrunk on rollback, rehome or
+        #: retraction — an extra member only costs a wasted search, a
+        #: missing one would miss cycles).  An inserted edge src→dst can
+        #: only close an identity cycle through an identity edge out of
+        #: dst, so the cycle search is skipped when dst is not here.
+        self._id_out: set[Variable] = set()
         self._uf = UnionFind()
         self._collapsing = False
         self._identity = self.algebra.identity
@@ -605,6 +626,94 @@ class Solver:
             self.budget = budget
         self._drain()
 
+    def _install_snapshot(self, snap: Any) -> None:
+        """Fill this empty solver with a snapshot's solved form.
+
+        ``snap`` is a :class:`repro.core.persist.SnapshotTables`: the
+        decoded variable, constructor, term and annotation tables, and
+        fact rows of ints indexing them.  The facts were closed when
+        dumped, so they go straight into the tables without re-closure
+        and count as drained; later ``add`` calls resume online solving
+        on top of them.  They carry no provenance: witness
+        reconstruction treats a missing reason like the opaque
+        ``loaded`` rule, and :class:`repro.incremental.DeltaSolver`
+        refuses the system (``provenance_complete`` is cleared).
+        """
+        self.provenance_complete = False
+        variables, terms, elements = snap.variables, snap.terms, snap.elements
+        # ``zip(it, it, it)`` walks a flat row list three ints at a time.
+        # Rows arrive grouped by variable, so each bucket is looked up
+        # once per run of rows; a key is new iff storing it grows the
+        # bucket (one hash per row).
+        for table, seqs, rows in (
+            (self._lower, self._lower_seq, snap.lowers),
+            (self._upper, self._upper_seq, snap.uppers),
+        ):
+            last = -1
+            it = iter(rows)
+            for v, t, e in zip(it, it, it):
+                if v != last:
+                    last = v
+                    var = variables[v]
+                    bucket = table.setdefault(var, {})
+                    seq = seqs.setdefault(var, [])
+                key = (terms[t], elements[e])
+                size = len(bucket)
+                bucket[key] = None
+                if len(bucket) != size:
+                    seq.append(key)
+        idk = self._identity_key
+        pred = self._pred
+        last = -1
+        it = iter(snap.edges)
+        for s, d, e in zip(it, it, it):
+            if s != last:
+                last = s
+                src = variables[s]
+                bucket = self._succ.setdefault(src, {})
+                seq = self._succ_seq.setdefault(src, [])
+            dst = variables[d]
+            ann = elements[e]
+            key = (dst, ann)
+            size = len(bucket)
+            bucket[key] = None
+            if len(bucket) != size:
+                seq.append(key)
+                into = pred.get(dst)
+                if into is None:
+                    into = pred[dst] = {}
+                into[(src, ann)] = None
+                if ann == idk:
+                    self._id_out.add(src)
+        constructors = snap.constructors
+        last = -1
+        it = iter(snap.projections)
+        for v, c, index, t, e in zip(it, it, it, it, it):
+            if v != last:
+                last = v
+                var = variables[v]
+                bucket = self._proj.setdefault(var, {})
+                seq = self._proj_seq.setdefault(var, [])
+            key = (constructors[c], index, variables[t], elements[e])
+            size = len(bucket)
+            bucket[key] = None
+            if len(bucket) != size:
+                seq.append(key)
+        # Merged-away variables resolve to the representative their
+        # facts were dumped under, so they stay queryable.
+        parent = self._uf.parent
+        it = iter(snap.merged)
+        for loser, rep in zip(it, it):
+            parent[variables[loser]] = variables[rep]
+        # Difference propagation: every stored lower was composed against
+        # the neighbor tables it was dumped with.  Facts added after the
+        # load snapshot against these counters; a pending backlog
+        # re-walks whole windows (see ``SnapshotTables.pending``).
+        self._lower_drained = {var: len(seq) for var, seq in self._lower_seq.items()}
+        self._work.extend(snap.pending)
+        self._met.update(snap.met)
+        self.inconsistencies.extend(snap.inconsistencies)
+
     def fact_count(self) -> int:
         """Number of distinct facts in the solved form (for benchmarks).
 
@@ -623,36 +732,14 @@ class Solver:
         if not self.cycle_elim:
             return sum(len(bucket) for table in tables for bucket in table.values())
         moved = self._moved()
-        # Merged groups: each representative a moved table variable maps
-        # to, with every table variable the quotient sends there.
-        groups: dict[Variable, list[Variable]] = {}
-        for table in tables:
-            for var in table:
-                if var in moved:
-                    groups.setdefault(moved[var], [])
-        grouped: set[Variable] = set()
-        for table in tables:
-            for var in table:
-                group = groups.get(moved.get(var, var))
-                if group is not None and var not in grouped:
-                    grouped.add(var)
-                    group.append(var)
-        is_identity = self._is_identity
         moved_vars = moved.keys()
-
-        def ct(term: Constructed) -> Constructed:
-            if term.args and not moved_vars.isdisjoint(term.args):
-                return Constructed(
-                    term.constructor, tuple(moved.get(a, a) for a in term.args)
-                )
-            return term
+        groups = self._merged_groups(moved)
+        grouped = {var for group in groups.values() for var in group}
+        ct = self._term_rewriter(moved)
+        idk = self._identity_key
 
         def size(bucket: dict, rewritten: list) -> int:
-            # A lone unmoved variable's bucket holds distinct keys; only
-            # the entries naming a moved variable are rewritten — into a
-            # key the bucket holds, a new one, or (None) nothing.
-            new = {key for key in rewritten if key is not None and key not in bucket}
-            return len(bucket) - len(rewritten) + len(new)
+            return len(bucket) + _rewrites(bucket, rewritten)
 
         total = 0
         for table in (self._lower, self._upper):
@@ -667,7 +754,7 @@ class Solver:
             if var not in grouped:
                 total += size(bucket, [
                     None
-                    if moved[dst] == var and is_identity(ann)
+                    if moved[dst] == var and ann == idk
                     else (moved[dst], ann)
                     for dst, ann in bucket
                     if dst in moved
@@ -688,12 +775,55 @@ class Solver:
                     keys.add(("upper", ct(term), ann))
                 for dst, ann in self._succ.get(var, ()):
                     d = moved.get(dst, dst)
-                    if not (d == rep and is_identity(ann)):
+                    if not (d == rep and ann == idk):
                         keys.add(("edge", d, ann))
                 for ctor, index, target, ann in self._proj.get(var, ()):
                     keys.add(("proj", ctor, index, moved.get(target, target), ann))
             total += len(keys)
         return total
+
+    def _merged_groups(
+        self, moved: dict[Variable, Variable]
+    ) -> dict[Variable, list[Variable]]:
+        """The quotient classes that merge variables holding facts.
+
+        Maps each representative that a moved table variable resolves to
+        onto every table variable the quotient sends there (itself
+        included when it has tables).  Every other table variable is a
+        lone, unmoved class: its buckets hold distinct keys already, and
+        only their entries that name a moved variable need rewriting.
+        """
+        tables = (self._lower, self._upper, self._succ, self._proj)
+        groups: dict[Variable, list[Variable]] = {}
+        for var, rep in moved.items():
+            if any(var in table for table in tables):
+                groups.setdefault(rep, []).append(var)
+        for rep, group in groups.items():
+            if any(rep in table for table in tables):
+                group.append(rep)
+        return groups
+
+    def _term_rewriter(
+        self, moved: dict[Variable, Variable]
+    ) -> Callable[[Constructed], Constructed]:
+        """``term`` with its moved arguments resolved through ``moved``
+        (``term`` itself when it names none).  A solved form repeats a
+        few hundred distinct terms across thousands of facts, so each
+        distinct rewrite is built once."""
+        moved_vars = moved.keys()
+        memo: dict[Constructed, Constructed] = {}
+
+        def ct(term: Constructed) -> Constructed:
+            if not moved or not term.args or moved_vars.isdisjoint(term.args):
+                return term
+            canonical = memo.get(term)
+            if canonical is None:
+                canonical = memo[term] = Constructed(
+                    term.constructor, tuple(moved.get(a, a) for a in term.args)
+                )
+            return canonical
+
+        return ct
 
     # -- cycle elimination -----------------------------------------------------
 
@@ -722,7 +852,7 @@ class Solver:
             for dst, ann in bucket
             if ann == idk
         ):
-            root = min(component, key=lambda v: v.name)
+            root = min(component, key=_name)
             for var in component:
                 if var is not root:
                     moved[var] = root
@@ -751,57 +881,100 @@ class Solver:
         :meth:`collapse_map` the caller already holds.
         """
         if cmap is None:
-            cmap = self._moved()
+            moved = self._moved()
+        else:
+            moved = {var: rep for var, rep in cmap.items() if rep != var}
+        groups = self._merged_groups(moved)
+        lower, upper, succ, proj = self._lower, self._upper, self._succ, self._proj
+        reps = set(groups)
+        reps.update(lower, upper, succ, proj)
+        reps.difference_update(moved)
+        ct = self._term_rewriter(moved)
+        moved_vars = moved.keys()
+        idk = self._identity_key
+        for rep in sorted(reps, key=_name):
+            group = groups.get(rep)
+            if group is not None:
+                yield from self._group_facts(rep, sorted(group, key=_name), moved, ct)
+                continue
+            # A lone unmoved variable: its buckets are yielded as stored,
+            # except entries naming a moved variable, which are rewritten
+            # and yielded unless the bucket (or an earlier rewrite)
+            # already holds the result.
+            for kind, table in (("lower", lower), ("upper", upper)):
+                bucket = table.get(rep)
+                if bucket:
+                    rewritten: set = set()
+                    for term, ann in bucket:
+                        if (
+                            term.args
+                            and moved
+                            and not moved_vars.isdisjoint(term.args)
+                        ):
+                            key = (ct(term), ann)
+                            if key in bucket or key in rewritten:
+                                continue
+                            rewritten.add(key)
+                            term = key[0]
+                        yield (kind, rep, term, ann)
+            bucket = succ.get(rep)
+            if bucket:
+                rewritten = set()
+                for dst, ann in bucket:
+                    d = moved.get(dst) if moved else None
+                    if d is not None:
+                        if d == rep and ann == idk:
+                            continue
+                        if (d, ann) in bucket or (d, ann) in rewritten:
+                            continue
+                        rewritten.add((d, ann))
+                        dst = d
+                    yield ("edge", rep, dst, ann)
+            bucket = proj.get(rep)
+            if bucket:
+                rewritten = set()
+                for ctor, index, target, ann in bucket:
+                    t = moved.get(target) if moved else None
+                    if t is not None:
+                        key = (ctor, index, t, ann)
+                        if key in bucket or key in rewritten:
+                            continue
+                        rewritten.add(key)
+                        target = t
+                    yield ("proj", rep, ctor, index, target, ann)
 
-        def cv(v: Variable) -> Variable:
-            return cmap.get(v, v)
-
-        def ct(term: Constructed) -> Constructed:
-            if term.args and any(cmap.get(a, a) != a for a in term.args):
-                return Constructed(
-                    term.constructor, tuple(cmap.get(a, a) for a in term.args)
-                )
-            return term
-
-        is_identity = self._is_identity
-        members: dict[Variable, list[Variable]] = {}
-        seen: set[Variable] = set()
-        for table in (self._lower, self._upper, self._succ, self._proj):
-            for var in table:
-                if var in seen:
+    def _group_facts(
+        self,
+        rep: Variable,
+        group: list[Variable],
+        moved: dict[Variable, Variable],
+        ct: Callable[[Constructed], Constructed],
+    ) -> Iterator[FactKey]:
+        """A merged class's facts, rewritten onto ``rep`` and deduplicated."""
+        idk = self._identity_key
+        emitted: set[FactKey] = set()
+        for kind, table in (("lower", self._lower), ("upper", self._upper)):
+            for var in group:
+                for term, ann in table.get(var, ()):
+                    key = (kind, rep, ct(term), ann)
+                    if key not in emitted:
+                        emitted.add(key)
+                        yield key
+        for var in group:
+            for dst, ann in self._succ.get(var, ()):
+                d = moved.get(dst, dst)
+                if d == rep and ann == idk:
                     continue
-                seen.add(var)
-                members.setdefault(cv(var), []).append(var)
-        for rep in sorted(members, key=lambda v: v.name):
-            group = sorted(members[rep], key=lambda v: v.name)
-            emitted: set[FactKey] = set()
-            for var in group:
-                for src, ann in self._lower.get(var, ()):
-                    key = ("lower", rep, ct(src), ann)
-                    if key not in emitted:
-                        emitted.add(key)
-                        yield key
-            for var in group:
-                for snk, ann in self._upper.get(var, ()):
-                    key = ("upper", rep, ct(snk), ann)
-                    if key not in emitted:
-                        emitted.add(key)
-                        yield key
-            for var in group:
-                for dst, ann in self._succ.get(var, ()):
-                    d = cv(dst)
-                    if d == rep and is_identity(ann):
-                        continue
-                    key = ("edge", rep, d, ann)
-                    if key not in emitted:
-                        emitted.add(key)
-                        yield key
-            for var in group:
-                for ctor, index, target, ann in self._proj.get(var, ()):
-                    key = ("proj", rep, ctor, index, cv(target), ann)
-                    if key not in emitted:
-                        emitted.add(key)
-                        yield key
+                key = ("edge", rep, d, ann)
+                if key not in emitted:
+                    emitted.add(key)
+                    yield key
+        for var in group:
+            for ctor, index, target, ann in self._proj.get(var, ()):
+                key = ("proj", rep, ctor, index, moved.get(target, target), ann)
+                if key not in emitted:
+                    emitted.add(key)
+                    yield key
 
     def _canonical_term(self, term: Constructed) -> Constructed:
         if not term.args or not self._uf.parent:
@@ -940,6 +1113,8 @@ class Solver:
             table[key] = None
             self._succ_seq.setdefault(src_var, []).append(key)
             self._pred.setdefault(dst_var, {})[(src_var, ann)] = None
+            if ann == self._identity_key:
+                self._id_out.add(src_var)
             self._record(("edge", src_var, key))
             self.stats.edges_added += 1
         elif kind == "upper":
@@ -981,6 +1156,7 @@ class Solver:
             and self.cycle_elim
             and not self._collapsing
             and self._is_identity(fact[3])
+            and fact[2] in self._id_out
         ):
             # Partial online detection (Fähndrich et al.): the new
             # identity edge src → dst closes a cycle iff dst already

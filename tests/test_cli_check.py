@@ -318,3 +318,31 @@ def test_traced_output_is_the_same_under_every_hash_seed(tmp_path):
         outputs.append(done.stdout)
     assert "      " in outputs[0]  # witnesses were printed
     assert outputs[0] == outputs[1]
+
+
+def test_closed_stdout_ends_quietly_with_sigpipe_status(package):
+    # `repro check … | head -3`: once the reader has gone, the command
+    # stops with 128 + SIGPIPE and writes nothing to stderr — no error
+    # line, no "Exception ignored" from the interpreter's exit flush.
+    # The traced output (about 150 KB) overflows the pipe's buffer, so
+    # the command is still writing when the reader closes.
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "check", str(package),
+         "--property", "simple-privilege", "--traces",
+         "--max-findings", "100000"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    head = [proc.stdout.readline() for _ in range(3)]
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=300) == repro.cli.EXIT_BROKEN_PIPE == 141
+    assert err == b""
+    assert head[0].startswith(b"[annotated] VIOLATION")

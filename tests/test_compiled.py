@@ -12,8 +12,8 @@ pins that claim from a different angle:
 * provenance opt-out (``record_reasons=False``) changes no facts;
 * ``add_many`` batches equal one-at-a-time adds; duplicates surface in
   ``SolverStats.facts_deduped``;
-* compiled solved forms persist and warm-start (format v2, including
-  online adds on top of a loaded snapshot).
+* compiled solved forms persist and warm-start (including online adds
+  on top of a loaded snapshot), and version-1 dumps still load.
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ from repro.modelcheck import (
 )
 from repro.synth import PackageSpec, generate_package
 from tests.test_cross_validation import random_program
+from tests.test_snapshot_format import FIXTURES, object_system
 
 GALLERY = {
     "one_bit": one_bit_machine,
@@ -331,13 +332,10 @@ def test_loaded_solver_resumes_online_solving():
 
 def test_v1_dumps_still_load():
     """Version-1 snapshots (inline annotations, no algebra tag) load."""
-    algebra = MonoidAlgebra(one_bit_machine())
-    solver = Solver(algebra)
-    x, y = Variable("X"), Variable("Y")
-    solver.add(Constructor("c", 0)(), x)
-    solver.add(x, y, algebra.symbol("g"))
-    data = json.loads(dump_solver(solver))
-    # Rewrite the v2 dump as its v1 equivalent: inline annotations.
+    solver = object_system()
+    data = json.loads((FIXTURES / "v2_object.json").read_text())
+    # Rewrite the committed v2 dump of the same system as its v1
+    # equivalent: inline annotations.
     elements = data.pop("elements")
     data["version"] = 1
     del data["algebra"]

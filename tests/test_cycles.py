@@ -25,9 +25,11 @@ from repro.core.persist import dump_solver, load_solver
 from repro.core.solver import Solver
 from repro.core.terms import Constructor, Variable, constant
 from repro.dfa.gallery import one_bit_machine, privilege_machine
+from repro.incremental import DeltaSolver, UnsupportedConstraintError
 from repro.modelcheck import AnnotatedChecker, simple_privilege_property
 from repro.synth import cycle_chain, solve_bidirectional
 from tests.test_cross_validation import random_program
+from tests.test_flatcore import _random_constraints as compiled_system
 
 
 # ---------------------------------------------------------------------------
@@ -401,6 +403,91 @@ class TestPersistenceWithMerges:
         assert loaded.find(b) == a
         assert loaded.find(c) == a
         assert set(loaded.lower_bounds(c)) == set(solver.lower_bounds(c))
+
+
+# ---------------------------------------------------------------------------
+# the cycle-search guard
+# ---------------------------------------------------------------------------
+
+
+class _EveryVariable:
+    """An ``_id_out`` claiming every variable: the search always runs."""
+
+    def __contains__(self, var):
+        return True
+
+    def add(self, var):
+        pass
+
+
+def _unguarded(solver: Solver) -> Solver:
+    solver._id_out = _EveryVariable()
+    return solver
+
+
+def _merges(solver: Solver):
+    stats = solver.stats
+    roots = {var: solver.find(var) for var in list(solver._uf.parent)}
+    return stats.cycles_collapsed, stats.vars_merged, roots
+
+
+def _add(solver, ctor, constraints):
+    for kind, a, b, word in constraints:
+        if kind == "edge":
+            solver.add(a, b, solver.algebra.word(word))
+        elif kind == "lower":
+            solver.add(a, b)
+        elif kind == "wrap":
+            solver.add(ctor(a), b)
+        else:
+            solver.add(ctor.proj(1, a), b)
+
+
+class TestCycleSearchGuard:
+    """Skipping the search when ``dst`` never stored an identity
+    out-edge loses no merge, through rollback, load and demotion."""
+
+    @given(st.integers(min_value=0, max_value=100_000))
+    @settings(max_examples=40, deadline=None)
+    def test_same_merges_across_rollback_and_load(self, seed):
+        machine, ctor, constraints = _random_constraints(seed)
+        third = len(constraints) // 3
+        runs = []
+        for guarded in (True, False):
+            solver = Solver(CompiledMonoidAlgebra(machine))
+            if not guarded:
+                _unguarded(solver)
+            _add(solver, ctor, constraints[:third])
+            solver.mark()
+            _add(solver, ctor, constraints[third:])
+            solver.rollback()
+            before = _merges(solver)
+            solver = load_solver(dump_solver(solver))
+            if not guarded:
+                _unguarded(solver)
+            _add(solver, ctor, constraints[third:])
+            runs.append((before, _merges(solver), set(solver.canonical_facts())))
+        assert runs[0] == runs[1], seed
+
+    @given(st.integers(min_value=0, max_value=100_000))
+    @settings(max_examples=40, deadline=None)
+    def test_same_merges_across_patches(self, seed):
+        algebra, constraints = compiled_system(seed, genkill=False)
+        rng = random.Random(seed)
+        retracts = rng.sample(constraints, k=min(len(constraints), 4))
+        runs = []
+        for guarded in (True, False):
+            solver = Solver(algebra)
+            if not guarded:
+                _unguarded(solver)
+            delta = DeltaSolver(solver, [(*c, None) for c in constraints])
+            try:
+                delta.patch(retracts=retracts)
+                delta.patch(adds=[(*c, None) for c in retracts])
+            except UnsupportedConstraintError:
+                pass
+            runs.append((_merges(solver), set(solver.canonical_facts())))
+        assert runs[0] == runs[1], seed
 
 
 # ---------------------------------------------------------------------------
