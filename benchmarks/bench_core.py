@@ -14,8 +14,7 @@ families and writes a machine-readable result file:
 * ``genkill_*``     — E2 (Fig 1 / §3.3): interprocedural n-bit gen/kill
   dataflow; object mode uses the tuple ``ProductAlgebra``, compiled
   mode the packed-int ``CompiledGenKillAlgebra`` on the object core,
-  and ``genkill_flat`` the same packed algebra on the flat core (with
-  the numpy column backend when numpy is installed).
+  and ``genkill_flat`` the same packed algebra on the flat core.
 * ``flow_*``        — E7/E11 (Fig 11 / §7): label-flow analysis of a
   chain of instantiated pair functions; object vs compiled monoid
   algebra over the generated bracket machine.

@@ -37,20 +37,10 @@ suite uses to prove the two modes solve identically.
 
 from __future__ import annotations
 
-import importlib.util
 from typing import Any, Hashable, Iterable, Protocol, Sequence
 
 from repro.dfa.automaton import DFA, Symbol
 from repro.dfa.monoid import RepresentativeFunction, TransitionMonoid
-
-#: True when the vectorized ``then_many`` backends are available (the
-#: optional ``fast`` extra, ``pip install .[fast]``).  The flat solver
-#: core consults the per-algebra ``then_many`` attribute (``None`` when
-#: numpy is missing), so everything degrades to the pure-python
-#: composition loops without it.  numpy itself is imported by the first
-#: ``then_many`` call: most processes never compose a column that wide,
-#: and would otherwise pay numpy's import time and memory at start-up.
-HAVE_NUMPY = importlib.util.find_spec("numpy") is not None
 
 Annotation = Hashable
 
@@ -158,25 +148,9 @@ class CompiledMonoidAlgebra:
         self._symbols: dict[Symbol, int] = {
             sym: self._index[fn] for sym, fn in self.monoid.generators.items()
         }
-        # Vectorized column composition (built lazily on first use);
-        # ``None`` advertises "no batch backend" to the flat core.
-        self._np_table = None
-        if not HAVE_NUMPY:
-            self.then_many = None  # type: ignore[assignment]
 
     def size(self) -> int:
         return len(self.elements)
-
-    def then_many(self, anns: Sequence[int], hi: int, second: int) -> list[int]:
-        """Compose ``anns[:hi]`` (a column of annotations) with one
-        right-hand ``second`` — the numpy gather the flat core hands
-        whole lower-bound columns to."""
-        import numpy as np
-
-        table = self._np_table
-        if table is None:
-            table = self._np_table = np.asarray(self._table, dtype=np.intp)
-        return table[np.asarray(anns[:hi]), second].tolist()
 
     # -- conversions --------------------------------------------------------
 
@@ -373,11 +347,6 @@ class CompiledGenKillAlgebra:
         self._dead_eps = not live[self._eps]
         self._dead_gen = not live[self._gen]
         self._dead_kill = not live[self._kill]
-        # The vectorized column compose works on int64 lanes; packed
-        # annotations occupy 2*n_bits, so widths past 31 bits would
-        # overflow the lane and must fall back to the scalar loop.
-        if not HAVE_NUMPY or 2 * n_bits > 62:
-            self.then_many = None  # type: ignore[assignment]
 
     # -- packing -------------------------------------------------------------
 
@@ -440,28 +409,6 @@ class CompiledGenKillAlgebra:
         g_value = second >> n
         keep = ~g_forced & mask
         return (f_forced | g_forced) | (((f_value & keep) | g_value) << n)
-
-    def then_many(self, anns: Sequence[int], hi: int, second: int) -> list[int]:
-        """Compose ``anns[:hi]`` against one ``second``, vectorized.
-
-        The bitwise form of :meth:`then` maps directly onto numpy int64
-        lanes: ``second`` is broadcast, the column is packed once, and
-        the whole gen/kill update runs as five array ops.  Disabled
-        (``then_many = None``) when numpy is missing or the packed width
-        exceeds an int64 lane.
-        """
-        n = self.n_bits
-        mask = self._mask
-        g_forced = second & mask
-        g_value = second >> n
-        keep = ~g_forced & mask
-        import numpy as np
-
-        arr = np.array(anns[:hi], dtype=np.int64)
-        out = ((arr & mask) | g_forced) | (
-            (((arr >> n) & keep) | g_value) << n
-        )
-        return out.tolist()
 
     def is_live(self, annotation: int) -> bool:
         if self._never_dead:

@@ -64,12 +64,6 @@ _LOWER, _EDGE, _UPPER, _PROJ = 0, 1, 2, 3
 #: b=ann); projections (a=ctor, b=index, c=target, d=ann).
 _W = 7
 
-#: Column length at which the drain hands a whole lower column to the
-#: algebra's vectorized ``then_many`` (numpy backend) instead of
-#: composing entry by entry.  Below this the fixed cost of array
-#: conversion beats the win.
-NUMPY_MIN_COLUMN = 64
-
 
 #: The target variable id of a projection row ``(ctor, index, target, ann)``.
 _target = itemgetter(2)
@@ -293,10 +287,11 @@ class FlatSolver:
                 if cols:
                     keys.add(vars_[vid])
                     break
-            else:
-                pred = self._pred[vid]
-                if pred:
-                    keys.add(vars_[vid])
+            # Every edge destination, as the object solver's ``_pred``
+            # keys (ours holds identity predecessors only).
+            dsts = self._succ_dst[vid]
+            if dsts:
+                keys.update(vars_[dst] for dst in dsts)
         # Both sides of every merge (mirrors the object solver).
         for vid, par in self._ufp.items():
             keys.add(vars_[vid])
@@ -937,7 +932,6 @@ class FlatSolver:
         # Compiled monoids expose a dense composition table: index it
         # inline rather than paying a method call per composition.
         mono = getattr(algebra, "_table", None)
-        then_many = getattr(algebra, "then_many", None)
         stats = self.stats
         idk = self._idk
         low_src = self._low_src
@@ -1102,25 +1096,6 @@ class FlatSolver:
                                         else:
                                             pair_seen.add(pk)
                                     enqueue_lower(a, srcs[i], anns[i])
-                                    i += 1
-                            elif (
-                                then_many is not None
-                                and hi >= NUMPY_MIN_COLUMN
-                            ):
-                                out = then_many(anns, hi, g)
-                                stats.compositions += hi
-                                if track:
-                                    i = 0
-                                    while i < hi:
-                                        pk = (0, var, srcs[i], anns[i], a, g)
-                                        if pk in pair_seen:
-                                            stats.redundant_compositions += 1
-                                        else:
-                                            pair_seen.add(pk)
-                                        i += 1
-                                i = 0
-                                while i < hi:
-                                    enqueue_lower(a, srcs[i], out[i])
                                     i += 1
                             else:
                                 i = 0

@@ -39,7 +39,10 @@ by a :class:`~repro.core.budget.Budget` or cancellation — is a
 any recorded inconsistencies, in the same int encoding, so a later
 :func:`load_solver` + :meth:`~repro.core.solver.Solver.resume`
 continues the solve exactly where it stopped and converges to the same
-fixpoint an uninterrupted run would have reached.
+fixpoint an uninterrupted run would have reached.  A fixpoint dump of a
+system with no solution writes its inconsistencies too, with their
+``(source, sink, annotation)`` triples as its ``met`` memo; a
+consistent fixpoint has none of the three sections.
 
 Earlier formats still load: version 1 (inline annotations per fact),
 version 2 (an annotation element table, facts spelling out their
@@ -274,13 +277,15 @@ def _encode_body(
     encoder: _Encoder,
     facts: Iterable[tuple],
     merged: Iterable[tuple[Variable, Variable]],
-    checkpoint: tuple[list, list, list] | None = None,
+    checkpoint: tuple[list | None, list, list] | None = None,
 ) -> dict[str, Any]:
     """The version-4 tables and rows of a solved form.
 
     ``facts`` are object fact keys; ``merged`` the ``(loser,
     representative)`` pairs; ``checkpoint`` the pending facts, met
-    triples and inconsistencies of an interrupted solve, if any.
+    triples and inconsistencies of an interrupted solve, if any.  A
+    fixpoint with inconsistencies passes ``None`` for its pending facts
+    and writes no ``pending`` section.
     """
     rows = encoder.fact_rows(facts)
     merged_rows: list[int] = []
@@ -289,10 +294,12 @@ def _encode_body(
     extra: dict[str, Any] = {}
     if checkpoint is not None:
         pending, met, inconsistencies = checkpoint
-        pending_rows: list[int] = []
-        for fact in pending:
-            pending_rows.append(_PENDING_CODES[fact[0]])
-            pending_rows += encoder.fact_rows((fact,))[fact[0]]
+        if pending is not None:
+            pending_rows: list[int] = []
+            for fact in pending:
+                pending_rows.append(_PENDING_CODES[fact[0]])
+                pending_rows += encoder.fact_rows((fact,))[fact[0]]
+            extra["pending"] = pending_rows
         met_rows: list[int] = []
         for src, snk, ann in met:
             met_rows += (encoder.term(src), encoder.term(snk), encoder.elem(ann))
@@ -303,11 +310,8 @@ def _encode_body(
                 encoder.term(inc.sink),
                 encoder.elem(inc.annotation),
             )
-        extra = {
-            "pending": pending_rows,
-            "met": met_rows,
-            "inconsistencies": inconsistency_rows,
-        }
+        extra["met"] = met_rows
+        extra["inconsistencies"] = inconsistency_rows
     return {
         "variables": encoder.variables,
         "constructors": encoder.constructors,
@@ -347,7 +351,9 @@ def dump_solver(solver: Solver | FlatSolver) -> str:
     cancellation — dumps as a *checkpoint* carrying the pending
     worklist, the met-pair memo and recorded inconsistencies; loading
     one restores the interrupted state and
-    :meth:`~repro.core.solver.Solver.resume` finishes the solve.
+    :meth:`~repro.core.solver.Solver.resume` finishes the solve.  A
+    fixpoint with inconsistencies keeps them, and their meets in the
+    memo.
 
     :class:`~repro.core.flatcore.FlatSolver` systems dump in the *same*
     canonical fact format — the on-disk solved form is a function of the
@@ -371,7 +377,7 @@ def dump_solver(solver: Solver | FlatSolver) -> str:
         facts = _raw_facts(solver)
     merged = sorted(moved.items(), key=lambda pair: pair[0].name)
     checkpoint = None
-    if solver.pending_count():
+    if solver.pending_count() or solver.inconsistencies:
         checkpoint = _checkpoint(solver, moved, to_object)
     payload: dict[str, Any] = {
         "version": FORMAT_VERSION,
@@ -405,7 +411,7 @@ def _checkpoint(
     solver: Solver | FlatSolver,
     moved: dict[Variable, Variable],
     to_object: Callable[[Any], Any],
-) -> tuple[list, list, list]:
+) -> tuple[list | None, list, list]:
     """The pending facts, met triples and inconsistencies of an
     interrupted solve, with variable slots resolved through ``moved``.
 
@@ -414,6 +420,10 @@ def _checkpoint(
     met terms canonicalize like the facts, so resumed meets over the
     reloaded tables hit the memo.  The memo is a set, so it is sorted
     into a deterministic order.
+
+    A fixpoint (nothing pending) keeps its inconsistencies, and only
+    their triples of the memo: a meet re-derived after reload then
+    records no inconsistency twice.  Its pending facts are ``None``.
     """
 
     def cv(var: Variable) -> Variable:
@@ -429,6 +439,9 @@ def _checkpoint(
         met: Iterable = solver._met_object_facts()
     else:
         work, met = solver._work, solver._met
+    fixpoint = not solver.pending_count()
+    if fixpoint:
+        met = [(inc.source, inc.sink, inc.annotation) for inc in solver.inconsistencies]
     pending = []
     for fact, _snap in work:
         kind = fact[0]
@@ -453,7 +466,7 @@ def _checkpoint(
     met_triples = sorted(
         {(ct(src), ct(snk), ann) for src, snk, ann in met}, key=met_order
     )
-    return pending, met_triples, list(solver.inconsistencies)
+    return (None if fixpoint else pending), met_triples, list(solver.inconsistencies)
 
 
 class SnapshotTables:

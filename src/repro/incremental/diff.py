@@ -31,7 +31,7 @@ from typing import Any
 
 from repro.cfg.builder import build_cfg
 from repro.cfg.graph import CFGNode, ProgramCFG
-from repro.core.annotations import CompiledMonoidAlgebra, MonoidAlgebra
+from repro.core.annotations import CompiledMonoidAlgebra
 from repro.core.budget import Budget
 from repro.core.queries import Reachability
 from repro.core.solver import Solver
@@ -328,17 +328,13 @@ class StableCheck:
         source: str,
         prop: Property,
         algebra: Any | None = None,
-        compiled: bool = True,
         budget: Budget | None = None,
         cycle_elim: bool = True,
     ):
         self.property = prop
-        if algebra is not None:
-            self.algebra = algebra
-        elif compiled:
-            self.algebra = CompiledMonoidAlgebra(prop.machine)
-        else:
-            self.algebra = MonoidAlgebra(prop.machine)
+        self.algebra = (
+            algebra if algebra is not None else CompiledMonoidAlgebra(prop.machine)
+        )
         self.pc = _PC
         self.solver = Solver(
             self.algebra,

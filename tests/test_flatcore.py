@@ -9,10 +9,11 @@ interrupt/resume, mark/rollback, persistence round-trips, and
 DeltaSolver patching on the object side).  The hypothesis suite asserts
 that across randomized constraint sets and both compiled algebra
 families; the unit tests pin the difference-propagation invariants
-(``compositions_saved``, ``redundant_compositions == 0``), the numpy
-column backend, and the typed rejections.
+(``compositions_saved``, ``redundant_compositions == 0``), a wide lower
+column composed without numpy, and the typed rejections.
 """
 
+import json
 import random
 
 import pytest
@@ -20,7 +21,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.annotations import (
-    HAVE_NUMPY,
     CompiledGenKillAlgebra,
     CompiledMonoidAlgebra,
     MonoidAlgebra,
@@ -28,7 +28,7 @@ from repro.core.annotations import (
 )
 from repro.core.budget import Budget
 from repro.core.errors import SolverInterrupted
-from repro.core.flatcore import NUMPY_MIN_COLUMN, FlatSolver
+from repro.core.flatcore import FlatSolver
 from repro.core.persist import dump_solver, load_solver
 from repro.core.queries import Reachability
 from repro.core.solver import Solver
@@ -114,6 +114,13 @@ class TestFlatEqualsObject:
         assert _canonical(flat) == _canonical(obj), seed
         assert flat.fact_count() == obj.fact_count(), seed
         assert len(flat.inconsistencies) == len(obj.inconsistencies), seed
+        assert flat.variables() == obj.variables(), seed
+        if not genkill:  # gen/kill products have no snapshot encoding
+            for solver, core in ((obj, "flat"), (flat, "object")):
+                data = json.loads(dump_solver(solver))
+                data["core"] = core
+                loaded = load_solver(json.dumps(data))
+                assert loaded.variables() == obj.variables(), seed
 
     @pytest.mark.parametrize("bound", [2, 3])
     @pytest.mark.parametrize("genkill", [False, True])
@@ -286,85 +293,75 @@ class TestDifferencePropagation:
         assert "redundant_compositions" in payload
 
 
-class TestNumpyBackend:
-    def _column_workload(self, algebra):
-        """Enough lowers on one variable to cross the vectorize threshold."""
-        rng = random.Random(3)
-        x, y = Variable("X"), Variable("Y")
-        batch = []
-        for i in range(NUMPY_MIN_COLUMN + 20):
-            ann = algebra.of_effect(
-                [rng.randrange(4) for _ in range(rng.randrange(3))],
-                [rng.randrange(4) for _ in range(rng.randrange(3))],
-            )
-            batch.append((constant(f"k{i}"), x, ann))
-        return batch, [(x, y, algebra.of_effect([0], [1]))]
+def _column_workload(algebra):
+    """84 constant lowers on one variable behind one non-identity edge,
+    a wider lower column than any other test here composes."""
+    rng = random.Random(3)
+    x, y = Variable("X"), Variable("Y")
+    batch = []
+    for i in range(84):
+        ann = algebra.of_effect(
+            [rng.randrange(4) for _ in range(rng.randrange(3))],
+            [rng.randrange(4) for _ in range(rng.randrange(3))],
+        )
+        batch.append((constant(f"k{i}"), x, ann))
+    return batch, [(x, y, algebra.of_effect([0], [1]))]
 
-    def test_vectorized_column_matches_scalar(self):
-        algebra = _genkill_algebra()
-        lowers, edge = self._column_workload(algebra)
-        fast = FlatSolver(algebra)
-        fast.add_many(lowers)
-        fast.add_many(edge)
-        scalar_algebra = _genkill_algebra()
-        scalar_algebra.then_many = None  # force the pure-python loop
-        slow = FlatSolver(scalar_algebra)
-        slow.add_many(lowers)
-        slow.add_many(edge)
-        assert _canonical(fast) == _canonical(slow)
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
-    def test_genkill_then_many_matches_then(self):
-        algebra = _genkill_algebra()
-        assert algebra.then_many is not None
-        rng = random.Random(7)
-        anns = [rng.getrandbits(8) for _ in range(100)]
-        for second in (0, algebra.of_effect([1], [2]), rng.getrandbits(8)):
-            assert algebra.then_many(anns, 80, second) == [
-                algebra.then(a, second) for a in anns[:80]
-            ]
+_WIDE_COLUMN_PROBE = """
+import sys
+from repro.core.flatcore import FlatSolver
+from repro.core.solver import Solver
+from tests.test_flatcore import _column_workload, _genkill_algebra
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
-    def test_monoid_then_many_matches_then(self):
-        algebra = _privilege_algebra()
-        assert algebra.then_many is not None
-        rng = random.Random(7)
-        anns = [rng.randrange(algebra.size()) for _ in range(100)]
-        for second in range(algebra.size()):
-            assert algebra.then_many(anns, 80, second) == [
-                algebra.then(a, second) for a in anns[:80]
-            ]
+algebra = _genkill_algebra()
+lowers, edge = _column_workload(algebra)
+forms = []
+for solver in (FlatSolver(algebra), Solver(algebra, record_reasons=False)):
+    solver.add_many(lowers)
+    solver.add_many(edge)
+    forms.append(set(solver.canonical_facts()))
+print(forms[0] == forms[1], "numpy" in sys.modules)
+"""
 
-    def test_wide_genkill_disables_vectorization(self):
-        # Packed width beyond an int64 lane must fall back cleanly.
-        wide = CompiledGenKillAlgebra(40)
-        assert wide.then_many is None
 
-    def test_cli_import_leaves_numpy_unloaded(self):
-        # numpy is imported on the first wide-column composition, not at
-        # start-up: a fresh interpreter that loads the CLI (and with it
-        # every solver core) must not have paid for it.  Nor for the
-        # process-pool machinery, which only ``serve --process-pool``
-        # needs.
+class TestLeanImports:
+    """Solving and starting the CLI load only what they use."""
+
+    def _fresh_interpreter(self, probe: str) -> str:
         import os
+        import pathlib
         import subprocess
         import sys
 
         import repro
 
-        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        src = pathlib.Path(repro.__file__).resolve().parent.parent
         env = dict(os.environ)
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
+        done = subprocess.run(
+            [sys.executable, "-c", probe],
+            cwd=pathlib.Path(__file__).resolve().parent.parent,
+            env=env, capture_output=True, text=True, check=True,
+        )
+        return done.stdout.strip()
+
+    def test_wide_column_composes_without_numpy(self):
+        # The flat core composes every lower column, however wide, in
+        # its one scalar loop: the solved form is the object core's and
+        # numpy stays unloaded even where it is installed.
+        assert self._fresh_interpreter(_WIDE_COLUMN_PROBE) == "True False"
+
+    def test_cli_import_leaves_numpy_unloaded(self):
+        # A fresh interpreter that loads the CLI (and with it every
+        # solver core) has not paid for numpy, nor for the process-pool
+        # machinery, which only ``serve --process-pool`` needs.
         heavy = ("numpy", "multiprocessing", "concurrent.futures.process")
         probe = (
             "import sys, repro.cli; "
             f"print([m for m in {heavy!r} if m in sys.modules])"
         )
-        done = subprocess.run(
-            [sys.executable, "-c", probe],
-            env=env, capture_output=True, text=True, check=True,
-        )
-        assert done.stdout.strip() == "[]"
+        assert self._fresh_interpreter(probe) == "[]"
 
 
 class TestComposeShortCircuits:
@@ -456,8 +453,6 @@ class TestFlatPersistence:
         assert _canonical(loaded) == _canonical(full)
 
     def test_flat_dump_loads_into_object_core_and_back(self):
-        import json
-
         algebra, constraints = _random_constraints(37, genkill=False)
         flat = FlatSolver(algebra)
         flat.add_many(constraints)

@@ -46,9 +46,8 @@ def canonical(solver):
 
 
 def cold_check(source, compiled=True, cycle_elim=True):
-    return StableCheck(
-        source, PROP, compiled=compiled, cycle_elim=cycle_elim
-    )
+    algebra = None if compiled else MonoidAlgebra(PROP.machine)
+    return StableCheck(source, PROP, algebra=algebra, cycle_elim=cycle_elim)
 
 
 def stored_facts(solver):
@@ -225,7 +224,7 @@ class TestCycleDemotion:
         spec = PackageSpec("inc-prop", 220, 5, seed=8)
         steps = list(edit_stream(spec, 2))
         live = StableCheck(
-            steps[0].source, PROP, compiled=False, cycle_elim=True
+            steps[0].source, PROP, algebra=MonoidAlgebra(PROP.machine)
         )
         for step in steps[1:]:
             live.apply_source(step.source)

@@ -32,6 +32,7 @@ from hypothesis import strategies as st
 
 import repro
 from repro.cfg.builder import build_cfg
+from repro.core.annotations import MonoidAlgebra
 from repro.core.persist import (
     JOURNAL_MAGIC,
     frame_journal_record,
@@ -106,15 +107,15 @@ class TestRecoveryEquivalence:
         # same encoder + compiled algebra: canonical forms must coincide
         # exactly, with cycle elimination both on and off
         for cycle_elim in (True, False):
-            cold = StableCheck(
-                final, prop, compiled=True, cycle_elim=cycle_elim
-            )
+            cold = StableCheck(final, prop, cycle_elim=cycle_elim)
             assert set(cold.solver.canonical_facts()) == recovered
             assert cold.has_violation() == result["has_violation"]
         # object (uncompiled) and flat cores answer through different
         # encoders; the verdict is the cross-implementation oracle
         assert (
-            StableCheck(final, prop, compiled=False).has_violation()
+            StableCheck(
+                final, prop, algebra=MonoidAlgebra(prop.machine)
+            ).has_violation()
             == result["has_violation"]
         )
         cfg = build_cfg(final)

@@ -4,6 +4,9 @@
   on/off × fixpoint and checkpoint dumps: a loaded snapshot has the
   dumped system's canonical facts and fact count, a loaded checkpoint
   resumes to the cold fixpoint, and each core loads the other's dumps.
+* **Inconsistent fixpoints** — a dump of a system with no solution
+  reloads, into either core, with the same inconsistencies, and their
+  meets stay in the memo.
 * **Deterministic bytes** — one package dumps to the same bytes under
   different string-hash seeds.
 * **Compatibility fixtures** — ``tests/fixtures/v2_object.json`` is a
@@ -190,6 +193,30 @@ class TestRoundTripOracle:
                 solver, _algebra, _constraints = _solved(core, seed, True, False)
                 text = dump_solver(solver)
                 assert dump_solver(load_solver(text)) == text, (seed, core)
+
+
+class TestInconsistentFixpoint:
+    """A fixpoint with no solution reloads with its inconsistencies."""
+
+    @pytest.mark.parametrize("core", sorted(CORES))
+    def test_round_trip_keeps_the_inconsistencies(self, core):
+        algebra = CompiledMonoidAlgebra(privilege_machine())
+        x, z = Variable("X"), Variable("Z")
+        solver = CORES[core](algebra)
+        solver.add(constant("c"), x)
+        sections = {"pending", "met", "inconsistencies"}
+        assert not sections & json.loads(dump_solver(solver)).keys()
+        solver.add(x, constant("d"))
+        assert not solver.is_consistent
+        for target in CORES:
+            loaded = load_solver(_as_core(dump_solver(solver), target))
+            assert loaded.inconsistencies == solver.inconsistencies
+            # The meet is in the reloaded memo, so deriving it again,
+            # directly or through a new variable, records nothing new.
+            loaded.add(x, constant("d"))
+            loaded.add(x, z)
+            loaded.add(z, constant("d"))
+            assert loaded.inconsistencies == solver.inconsistencies
 
 
 # -- deterministic bytes ---------------------------------------------------------
