@@ -11,12 +11,19 @@ entry/exit nodes and call sites (:mod:`repro.cfg.builder`,
 """
 
 from repro.cfg.builder import build_cfg, build_program_cfg
-from repro.cfg.graph import CFGNode, FunctionCFG, ProgramCFG, reverse_cfg
+from repro.cfg.graph import (
+    CFGNode,
+    FunctionCFG,
+    MissingMainError,
+    ProgramCFG,
+    reverse_cfg,
+)
 from repro.cfg.parser import parse_program
 
 __all__ = [
     "CFGNode",
     "FunctionCFG",
+    "MissingMainError",
     "ProgramCFG",
     "build_cfg",
     "build_program_cfg",

@@ -37,10 +37,26 @@ class _Builder:
 
     # -- helpers -----------------------------------------------------------------
 
-    def _node(self, function: str, kind: str, **kwargs) -> CFGNode:
-        node = CFGNode(id=next(self._ids), function=function, kind=kind, **kwargs)
-        self._fn_nodes.setdefault(function, []).append(node)
+    def _node(
+        self,
+        kind: str,
+        call: ast.Call | None = None,
+        stmt: ast.Stmt | None = None,
+        site: int | None = None,
+        line: int = 0,
+        owner: ast.Stmt | None = None,
+    ) -> CFGNode:
+        node = CFGNode(
+            next(self._ids), self._current_fn, kind, call, stmt, site, line, owner
+        )
+        self._nodes.append(node)
         return self.cfg.add_node(node)
+
+    def _stmt_node(self, stmt: ast.Stmt, preds: list[CFGNode]) -> CFGNode:
+        """The node of ``stmt`` itself, entered from each of ``preds``."""
+        node = self._node("stmt", None, stmt, None, stmt.line)
+        self._connect(preds, node)
+        return node
 
     def _connect(self, preds: list[CFGNode], node: CFGNode) -> None:
         for pred in preds:
@@ -49,17 +65,18 @@ class _Builder:
     # -- functions ---------------------------------------------------------------
 
     def _build_function(self, function: ast.Function) -> None:
-        entry = self._node(function.name, "entry", line=function.line)
-        exit_node = self._node(function.name, "exit", line=function.line)
+        self._current_fn = function.name
+        self._nodes = self._fn_nodes.setdefault(function.name, [])
+        entry = self._node("entry", line=function.line)
+        exit_node = self._node("exit", line=function.line)
         fcfg = FunctionCFG(function.name, entry, exit_node)
         self.cfg.functions[function.name] = fcfg
-        self._current_fn = function.name
         self._exit = exit_node
-        self._continue_targets: list[CFGNode] = []
+        self._continue_frames: list[list[CFGNode]] = []
         self._break_frames: list[list[CFGNode]] = []
         frontier = self._build_stmt(function.body, [entry])
         self._connect(frontier, exit_node)
-        fcfg.nodes = list(self._fn_nodes[function.name])
+        fcfg.nodes = list(self._nodes)
 
     # -- expressions --------------------------------------------------------------
 
@@ -72,19 +89,11 @@ class _Builder:
         """Thread call nodes for every call inside ``expr``."""
         for call in ast.calls_in(expr):
             if call.callee in self.defined:
-                node = self._node(
-                    self._current_fn,
-                    "call",
-                    call=call,
-                    site=next(self._sites),
-                    line=call.line,
-                    owner=owner,
-                )
-                self.cfg.call_sites[node.site] = (node, call.callee)
+                site = next(self._sites)
+                node = self._node("call", call, None, site, call.line, owner)
+                self.cfg.call_sites[site] = (node, call.callee)
             else:
-                node = self._node(
-                    self._current_fn, "stmt", call=call, line=call.line, owner=owner
-                )
+                node = self._node("stmt", call, None, None, call.line, owner)
             self._connect(preds, node)
             preds = [node]
         return preds
@@ -99,19 +108,11 @@ class _Builder:
                 preds = self._build_stmt(inner, preds)
             return preds
         if isinstance(stmt, ast.ExprStmt):
-            preds = self._expr_nodes(stmt.expr, preds, owner=stmt)
-            node = self._node(self._current_fn, "stmt", stmt=stmt, line=stmt.line)
-            self._connect(preds, node)
-            return [node]
+            return [self._stmt_node(stmt, self._expr_nodes(stmt.expr, preds, stmt))]
         if isinstance(stmt, ast.Decl):
-            preds = self._expr_nodes(stmt.init, preds, owner=stmt)
-            node = self._node(self._current_fn, "stmt", stmt=stmt, line=stmt.line)
-            self._connect(preds, node)
-            return [node]
+            return [self._stmt_node(stmt, self._expr_nodes(stmt.init, preds, stmt))]
         if isinstance(stmt, ast.If):
-            preds = self._expr_nodes(stmt.cond, preds)
-            branch = self._node(self._current_fn, "stmt", stmt=stmt, line=stmt.line)
-            self._connect(preds, branch)
+            branch = self._stmt_node(stmt, self._expr_nodes(stmt.cond, preds))
             then_out = self._build_stmt(stmt.then, [branch])
             if stmt.orelse is not None:
                 else_out = self._build_stmt(stmt.orelse, [branch])
@@ -119,21 +120,24 @@ class _Builder:
                 else_out = [branch]
             return then_out + else_out
         if isinstance(stmt, ast.While):
-            header = self._node(self._current_fn, "stmt", stmt=stmt, line=stmt.line)
-            self._connect(preds, header)
+            header = self._stmt_node(stmt, preds)
             cond_out = self._expr_nodes(stmt.cond, [header])
             breaks: list[CFGNode] = []
-            self._continue_targets.append(header)
+            continues: list[CFGNode] = []
+            self._continue_frames.append(continues)
             self._break_frames.append(breaks)
             body_out = self._build_stmt(stmt.body, list(cond_out))
             self._break_frames.pop()
-            self._continue_targets.pop()
-            self._connect(body_out, header)
+            self._continue_frames.pop()
+            # The body's exit and every ``continue`` run the step, if
+            # any, on their way back to the header.
+            back = body_out + continues
+            if stmt.step is not None:
+                back = self._build_stmt(stmt.step, back)
+            self._connect(back, header)
             return list(cond_out) + breaks
         if isinstance(stmt, ast.Switch):
-            preds = self._expr_nodes(stmt.cond, preds)
-            head = self._node(self._current_fn, "stmt", stmt=stmt, line=stmt.line)
-            self._connect(preds, head)
+            head = self._stmt_node(stmt, self._expr_nodes(stmt.cond, preds))
             breaks: list[CFGNode] = []
             self._break_frames.append(breaks)
             frontier: list[CFGNode] = []  # fallthrough from previous case
@@ -149,24 +153,20 @@ class _Builder:
                 out.append(head)  # no default: the switch may fall past
             return out
         if isinstance(stmt, ast.Return):
-            preds = self._expr_nodes(stmt.value, preds, owner=stmt)
-            node = self._node(self._current_fn, "stmt", stmt=stmt, line=stmt.line)
-            self._connect(preds, node)
+            node = self._stmt_node(stmt, self._expr_nodes(stmt.value, preds, stmt))
             self.cfg.add_edge(node, self._exit)
             return []
         if isinstance(stmt, ast.Break):
-            node = self._node(self._current_fn, "stmt", stmt=stmt, line=stmt.line)
-            self._connect(preds, node)
+            node = self._stmt_node(stmt, preds)
             if not self._break_frames:
                 raise ValueError(f"line {stmt.line}: break outside loop/switch")
             self._break_frames[-1].append(node)
             return []
         if isinstance(stmt, ast.Continue):
-            node = self._node(self._current_fn, "stmt", stmt=stmt, line=stmt.line)
-            self._connect(preds, node)
-            if not self._continue_targets:
+            node = self._stmt_node(stmt, preds)
+            if not self._continue_frames:
                 raise ValueError(f"line {stmt.line}: continue outside loop")
-            self.cfg.add_edge(node, self._continue_targets[-1])
+            self._continue_frames[-1].append(node)
             return []
         raise TypeError(f"unknown statement {stmt!r}")
 

@@ -8,9 +8,21 @@ from typing import Iterator
 from repro.cfg import ast
 
 
-@dataclass(frozen=True)
+class MissingMainError(KeyError, ValueError):
+    """The program has no ``main`` function, so no whole-program
+    analysis can start from it.
+
+    A ``ValueError``, like the lexer's and the parser's errors, so the
+    CLI and the service refuse the program as a front-end error; a
+    ``KeyError`` for the callers that look ``main`` up by name."""
+
+    def __str__(self) -> str:
+        return str(self.args[0]) if self.args else ""
+
+
+@dataclass(slots=True, unsafe_hash=True)
 class CFGNode:
-    """One control-flow node.
+    """One control-flow node: a slotted value, never mutated once built.
 
     ``kind`` is one of:
 
@@ -97,7 +109,7 @@ class ProgramCFG:
     @property
     def main(self) -> FunctionCFG:
         if "main" not in self.functions:
-            raise KeyError("program has no main function")
+            raise MissingMainError("program has no main function")
         return self.functions["main"]
 
     def all_nodes(self) -> Iterator[CFGNode]:

@@ -135,7 +135,7 @@ def stable_encode(
     """
     identity = algebra.identity
     batch: list[tuple] = [(_PC, Variable("S@main#0"), identity, None)]
-    cfg.main  # raises KeyError when the program has no main
+    cfg.main  # raises MissingMainError when the program has no main
     for fname in cfg.functions:
         batch.extend(_encode_function(cfg, fname, prop, algebra))
     return batch, _node_variables(cfg)
@@ -370,7 +370,7 @@ class StableCheck:
         self, cfg: ProgramCFG
     ) -> tuple[list[tuple], dict[str, list[tuple]]]:
         """:func:`stable_encode`, but keeping the per-function batches."""
-        cfg.main  # raises KeyError when the program has no main
+        cfg.main  # raises MissingMainError when the program has no main
         batches = {
             fname: _encode_function(cfg, fname, self.property, self.algebra)
             for fname in cfg.functions

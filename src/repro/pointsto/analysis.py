@@ -167,6 +167,13 @@ class _Lowering:
         elif isinstance(stmt, ast.While):
             self.value_of(function, stmt.cond)
             self.statement(function, stmt.body)
+            if stmt.step is not None:
+                self.statement(function, stmt.step)
+        elif isinstance(stmt, ast.Switch):
+            self.value_of(function, stmt.cond)
+            for case in stmt.cases:
+                for inner in case.body:
+                    self.statement(function, inner)
         elif isinstance(stmt, ast.Return):
             value = self.value_of(function, stmt.value)
             if value is not None:

@@ -468,9 +468,11 @@ class AnalysisEngine:
     @staticmethod
     def _parse_cfg(source: str):
         try:
-            return build_cfg(source)
-        except ValueError as exc:  # ParseError / LexError
+            cfg = build_cfg(source)
+            cfg.main  # every op starts from main: refuse a program without one
+        except ValueError as exc:  # ParseError / LexError / MissingMainError
             raise EngineError(protocol.E_PARSE, str(exc)) from exc
+        return cfg
 
     def check(
         self,

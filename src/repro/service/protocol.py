@@ -57,8 +57,8 @@ deadline and admission limits (``timeout``, ``overloaded``,
     send as ``base`` next time, and ``patch`` holds the
     :class:`~repro.incremental.delta.PatchStats` counters on the patched
     path.  Parametric properties are refused with ``unsupported``; a
-    program that does not parse is ``parse-error`` (and leaves the hot
-    session intact).  A patch failure is *not* an error response — the
+    program that does not parse, or has no ``main``, is ``parse-error``
+    (and leaves the hot session intact).  A patch failure is *not* an error response — the
     server discards the session, solves cold, and answers with
     ``fallback: "patch-failed"``.
 ``dataflow``

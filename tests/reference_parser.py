@@ -236,7 +236,8 @@ class Parser:
         return ast.Switch(line, cond, tuple(cases))
 
     def _parse_for(self) -> ast.Stmt:
-        # ``for (init; cond; step) body`` desugars to init; while.
+        # ``for (init; cond; step) body`` desugars to init; while, with
+        # the step kept apart on the ``While`` for ``continue`` to run.
         line = self._line()
         self.take("kw", "for")
         self.take("op", "(")
@@ -262,9 +263,8 @@ class Parser:
             step = ast.ExprStmt(line, self.parse_expr())
         self.take("op", ")")
         body = self.parse_stmt()
-        loop_body = ast.Block(line, tuple(s for s in (body, step) if s is not None))
         cond_expr = cond if cond is not None else ast.Number(line, 1)
-        loop = ast.While(line, cond_expr, loop_body)
+        loop = ast.While(line, cond_expr, body, step)
         if init is None:
             return loop
         return ast.Block(line, (init, loop))

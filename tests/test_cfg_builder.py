@@ -47,6 +47,29 @@ class TestStructure:
         preds = {p.kind for p in cfg.predecessors(done)}
         assert preds  # break node flows here
 
+    def test_continue_runs_the_for_step(self):
+        cfg = build_cfg(
+            "int main() { for (;; step()) { if (x) continue; a(); } }"
+        )
+        nodes = list(cfg.all_nodes())
+        header = next(n for n in nodes if isinstance(n.stmt, ast.While))
+        continue_node = next(n for n in nodes if isinstance(n.stmt, ast.Continue))
+        a_stmt = next(n for n in nodes if n.stmt == ast.ExprStmt(1, ast.Call(1, "a", ())))
+        step_call = next(n for n in nodes if n.call and n.call.callee == "step")
+        (step_stmt,) = cfg.successors(step_call)
+        # the body's end and the continue both run the step, and only
+        # the step closes the loop
+        assert set(cfg.predecessors(step_call)) == {continue_node, a_stmt}
+        assert list(cfg.successors(step_stmt)) == [header]
+        assert set(cfg.predecessors(header)) == {cfg.main.entry, step_stmt}
+
+    def test_while_continue_returns_to_header(self):
+        cfg = build_cfg("int main() { while (x) { if (y) continue; a(); } }")
+        nodes = list(cfg.all_nodes())
+        header = next(n for n in nodes if isinstance(n.stmt, ast.While))
+        continue_node = next(n for n in nodes if isinstance(n.stmt, ast.Continue))
+        assert list(cfg.successors(continue_node)) == [header]
+
     def test_return_skips_rest(self):
         cfg = build_cfg("int main() { if (x) { return 1; } after(); }")
         after = next(n for n in cfg.all_nodes() if n.call and n.call.callee == "after")

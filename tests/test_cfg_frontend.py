@@ -54,6 +54,25 @@ class TestLexer:
     def test_tokens_are_tuples(self):
         assert tokenize("x") == [Token("ident", "x", 1)]
         assert Token._fields == ("kind", "value", "line")
+        assert type(tokenize("x")[0]) is Token
+
+    @pytest.mark.parametrize(
+        "source", ["x ", "x\t", "x // end", "x #define y", "x /* end */", "x\n\n"]
+    )
+    def test_trailing_blanks_and_comments(self, source):
+        assert tokenize(source) == [Token("ident", "x", 1)]
+
+    @pytest.mark.parametrize(
+        "source, snippet",
+        [('f("open);', '"open);'), ("c = ';", "';"), ("x @ y", "@ y")],
+    )
+    def test_lex_error_at_first_bad_character(self, source, snippet):
+        with pytest.raises(LexError) as excinfo:
+            tokenize("a;\n" + source)
+        assert str(excinfo.value) == f"line 2: cannot tokenize {snippet!r}"
+
+    def test_unterminated_block_comment_is_two_operators(self):
+        assert [t.value for t in tokenize("a /* b")] == ["a", "/", "*", "b"]
 
 
 class TestParser:
@@ -93,7 +112,17 @@ class TestParser:
         outer = program.function("main").body.body[0]
         assert isinstance(outer, ast.Block)
         assert isinstance(outer.body[0], ast.Decl)
-        assert isinstance(outer.body[1], ast.While)
+        loop = outer.body[1]
+        assert isinstance(loop, ast.While)
+        # the step stays apart from the body, for ``continue`` to run it
+        assert isinstance(loop.body, ast.Block)
+        assert isinstance(loop.step, ast.ExprStmt)
+        assert isinstance(loop.step.expr, ast.Assign)
+
+    def test_for_without_step_or_test(self):
+        loop = parse_program("int main() { for (;;) f(); }").function("main").body.body[0]
+        assert loop == ast.While(1, ast.Number(1, 1), ast.ExprStmt(1, ast.Call(1, "f", ())))
+        assert loop.step is None
 
     def test_expression_precedence(self):
         program = parse_program("int main() { x = 1 + 2 * 3; }")

@@ -218,6 +218,40 @@ class TestFrontEnd:
         err = capsys.readouterr().err
         assert err == "repro: error: line 2: invalid integer literal '08'\n"
 
+    @pytest.mark.parametrize("engine", ["annotated", "demand", "both"])
+    def test_continue_runs_the_for_step(self, tmp_path, capsys, engine):
+        # C runs the step before the next test: ``continue`` reaches
+        # seteuid(0), so the loop can exit to execl privileged.
+        path = tmp_path / "for.c"
+        path.write_text(
+            "int main() { int i; for (i = 0; i < 3; seteuid(0)) "
+            '{ if (i) continue; return 0; } execl("/bin/sh"); return 0; }\n'
+        )
+        code = repro.cli.main(
+            ["check", str(path), "--property", "simple-privilege", "--engine", engine]
+        )
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "clean" not in out
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["check", "--property", "simple-privilege"],
+            ["check", "--property", "simple-privilege", "--engine", "demand"],
+            ["check", "--property", "simple-privilege", "--engine", "both"],
+            ["dataflow", "--track", "seteuid", "--"],
+        ],
+        ids=["check", "check-demand", "check-both", "dataflow"],
+    )
+    def test_program_without_main_exits_2(self, tmp_path, capsys, command):
+        path = tmp_path / "lib.c"
+        path.write_text("int f() { return 0; }\n")
+        assert repro.cli.main([*command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "repro: error: program has no main function\n"
+
 
 class TestMopsExitStatus:
     """``--engine mops`` exits on MOPS's own verdict, without re-solving."""

@@ -11,12 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cfg.lexer import LexError
+from repro.cfg.lexer import LexError, tokenize
 from repro.cfg.parser import ParseError, parse_program
 from repro.dfa.regex import RegexSyntaxError, regex_to_dfa
 from repro.dfa.spec import SpecSyntaxError, parse_spec
 from repro.flow.lang import FlowSyntaxError, parse_flow_program
-from tests import reference_parser
+from tests import reference_lexer, reference_parser
 
 _C_BINARY = [
     "||", "&&", "|", "^", "&", "==", "!=", "<", ">", "<=", ">=", "<<", ">>",
@@ -25,7 +25,9 @@ _C_BINARY = [
 _C_PREFIX = ["-", "!", "~", "*", "&", "++", "--"]
 
 #: Every token the mini-C grammar has, plus comments, a preprocessor
-#: line, both line endings and a character no token starts with.
+#: line, both line endings, blanks and the inputs no token accepts: a
+#: character no token starts with, an unterminated block comment (two
+#: operators) and string, and a lone quote.
 C_TOKENS = [
     "int", "void", "char", "long", "unsigned", "static", "struct", "const",
     "if", "else", "while", "for", "return", "break", "continue", "switch",
@@ -37,9 +39,11 @@ C_TOKENS = [
     # string with escaped quotes, string continued over a line break
     "x", "y", "f", "main", "0", "1", "42", "0x1F", "0755", "08",
     "'c'", "'\\n'", '"s"', '"a \\"q\\" b"', '"line \\\n continued"',
-    # skipped text and line breaks
+    # skipped text and line breaks; a soup that ends in a blank, a tab
+    # or an unterminated line comment ends the input with it
     "/* c */", "/* two\nlines */", "// c\n", "#include <x.h>\n", "\n", "\r\n",
-    "`",
+    " ", "\t", "// end", "#define X",
+    "`", "/*", '"open', "'",
 ]
 
 
@@ -105,6 +109,19 @@ def test_c_parser_matches_reference(soup, in_function):
     )
 
 
+@given(st.lists(st.sampled_from(C_TOKENS), max_size=40), st.sampled_from(["", " ", "\n"]))
+@settings(max_examples=400, deadline=None)
+def test_c_tokens_match_reference(soup, separator):
+    """The same ``(kind, value, line)`` triples, or the same exception
+    class and message, as the one-match-per-token reference lexer; the
+    soup ends the input, so trailing blanks and comments are seen."""
+    source = separator.join(soup)
+    assert _outcome(lambda text: [tuple(t) for t in tokenize(text)], source) == _outcome(
+        lambda text: [(t.kind, t.value, t.line) for t in reference_lexer.tokenize(text)],
+        source,
+    )
+
+
 @given(st.integers(min_value=0, max_value=10**9))
 @settings(max_examples=300, deadline=None)
 def test_c_expressions_match_reference(seed):
@@ -152,8 +169,6 @@ def test_regex_parser_never_crashes(pattern):
 @given(st.text(max_size=30))
 @settings(max_examples=100, deadline=None)
 def test_c_lexer_rejects_or_tokenizes_arbitrary_text(text):
-    from repro.cfg.lexer import tokenize
-
     try:
         list(tokenize(text))
     except LexError:

@@ -99,6 +99,33 @@ class TestEnginePatch:
         )
         assert r1["patched"] is True
 
+    def test_program_without_main_is_a_parse_error(self, steps, tmp_path):
+        """Refused up front like a parse error: nothing is journaled, the
+        hot session survives, and no op answers ``internal-error``."""
+        no_main = "int f() { return 0; }"
+        engine = AnalysisEngine(journal_dir=tmp_path)
+        try:
+            r0 = engine.patch(steps[0].source, "simple-privilege")
+            journaled = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+            requests = [
+                lambda: engine.patch(no_main, "simple-privilege", base=r0["version"]),
+                lambda: engine.check(no_main, "simple-privilege"),
+                lambda: engine.dataflow(no_main, ["seteuid"]),
+            ]
+            for request in requests:
+                with pytest.raises(EngineError) as excinfo:
+                    request()
+                assert excinfo.value.code == protocol.E_PARSE
+                assert excinfo.value.message == "program has no main function"
+            assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == journaled
+            r1 = engine.patch(
+                steps[1].source, "simple-privilege", base=r0["version"]
+            )
+            assert r1["patched"] is True
+            assert r1["fallback"] is None
+        finally:
+            engine.close()
+
     def test_parametric_property_unsupported(self, steps):
         engine = AnalysisEngine()
         with pytest.raises(EngineError) as excinfo:

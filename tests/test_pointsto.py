@@ -77,6 +77,25 @@ class TestBasics:
             """
         )
         assert analysis.points_to("main::p") == {"main::x", "main::y"}
+        # the same join under a switch, whose cases are lowered too
+        analysis, naive = both(
+            """
+            int main() {
+              int x; int *p;
+              switch (x) { case 1: p = &x; break; }
+              return 0;
+            }
+            """
+        )
+        assert analysis.points_to("main::p") == {"main::x"}
+        assert naive.points_to("main::p") == {"main::x"}
+
+    def test_for_step_is_lowered(self):
+        analysis, naive = both(
+            "int main() { int x; int *p; for (;; p = &x) { } }"
+        )
+        assert analysis.points_to("main::p") == {"main::x"}
+        assert naive.points_to("main::p") == {"main::x"}
 
     def test_may_alias(self):
         analysis, _ = both(
