@@ -16,16 +16,18 @@ End-to-end latency includes parsing the program and running the
 violation queries, which every tier pays; the work warm-starting
 actually skips is building the solved system (encode + closure vs a
 direct reload of the closed facts), so that phase is also measured in
-isolation.  Memory-warm is orders of magnitude faster than cold;
-snapshot-warm sits in between.
+isolation, on the core the service's no-traces ``check`` runs (the
+flat core over the compiled algebra).  Memory-warm is orders of
+magnitude faster than cold; snapshot-warm sits in between.
 """
 
 from __future__ import annotations
 
 from benchmarks._util import report, timed
 from repro.cfg import build_cfg
+from repro.core.annotations import CompiledMonoidAlgebra
 from repro.core.persist import load_solver, read_snapshot
-from repro.modelcheck import PROPERTY_FACTORIES, AnnotatedChecker
+from repro.modelcheck import PROPERTY_FACTORIES, AnnotatedChecker, uses_flat_core
 from repro.service import AnalysisEngine
 from repro.synth.programs import PackageSpec, generate_package
 
@@ -77,11 +79,16 @@ def test_cold_vs_warm_latency(tmp_path):
     assert violation_lines(cold_result) == violation_lines(snap_result)
     assert violation_lines(cold_result) == violation_lines(warm_result)
 
-    # the system-build phase is what a snapshot skips: encode + closure
-    # from scratch vs a direct reload of the closed facts
+    # the system-build phase is what a snapshot skips: the service's
+    # cold encode + closure vs a direct reload of the closed facts
     cfg = build_cfg(program)
     prop = PROPERTY_FACTORIES[PROPERTY]()
-    _, solve_time = best_of(lambda: AnnotatedChecker(cfg, prop))
+    algebra = CompiledMonoidAlgebra(prop.machine)
+    _, solve_time = best_of(
+        lambda: AnnotatedChecker(
+            cfg, prop, algebra=algebra, flat=uses_flat_core(prop, traces=False)
+        )
+    )
     (snapshot_file,) = list(tmp_path.iterdir())
     # The engine writes checksummed snapshot files; read_snapshot
     # verifies the frame and returns the dump load_solver takes.

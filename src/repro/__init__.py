@@ -53,7 +53,7 @@ from repro.core import (
 )
 from repro.dfa import DFA, TransitionMonoid, parse_spec, regex_to_dfa
 
-__version__ = "1.18.0"
+__version__ = "1.19.0"
 
 __all__ = [
     "AnnotatedConstraintSystem",

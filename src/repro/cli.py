@@ -57,7 +57,7 @@ from repro.dfa.gallery import (
 from repro.dfa.monoid import TransitionMonoid
 from repro.dfa.spec import parse_spec
 from repro.gcpause import paused
-from repro.modelcheck import PROPERTY_FACTORIES, AnnotatedChecker
+from repro.modelcheck import PROPERTY_FACTORIES, AnnotatedChecker, uses_flat_core
 from repro.mops import MopsChecker
 
 #: Backwards-compatible alias; the canonical registry lives with the
@@ -115,11 +115,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
             collapse_cycles=args.collapse_cycles,
             budget=budget,
             cycle_elim=not args.no_cycle_elim,
-            # The flat core over the compiled algebra (§8) unless the
-            # run needs witnesses (provenance lives only in the object
-            # solver) or substitution environments (parametric
-            # properties have no compiled form).
-            flat=not args.traces and not prop.parametric_symbols,
+            flat=uses_flat_core(prop, args.traces),
             # Verbose runs measure the difference-propagation invariant:
             # at the fixpoint no (fact, edge) pair composes twice.
             track_redundant=args.verbose,

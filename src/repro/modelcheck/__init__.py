@@ -1,6 +1,11 @@
 """Pushdown model checking with annotated constraints (Section 6)."""
 
-from repro.modelcheck.checker import AnnotatedChecker, CheckResult, Violation
+from repro.modelcheck.checker import (
+    AnnotatedChecker,
+    CheckResult,
+    Violation,
+    uses_flat_core,
+)
 from repro.modelcheck.combine import combine_properties, component_errors
 from repro.modelcheck.demand import DemandChecker
 from repro.modelcheck.properties import (
@@ -27,4 +32,5 @@ __all__ = [
     "full_privilege_property",
     "heap_state_property",
     "simple_privilege_property",
+    "uses_flat_core",
 ]

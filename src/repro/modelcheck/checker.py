@@ -73,6 +73,18 @@ class CheckResult:
         return {v.node.line for v in self.violations}
 
 
+def uses_flat_core(prop: Property, traces: bool) -> bool:
+    """Whether a check of ``prop`` runs on the flat core.
+
+    The one rule behind ``repro check`` and the service's ``check`` op:
+    the flat core over the compiled algebra (§8) unless the check wants
+    witnesses (provenance lives only in the object solver) or the
+    property is parametric (substitution environments have no compiled
+    form).
+    """
+    return not traces and not prop.parametric_symbols
+
+
 def _epsilon_scc_representatives(cfg: ProgramCFG, event_of) -> dict[int, int]:
     """Map each CFG node to its ε-SCC representative.
 
@@ -183,9 +195,16 @@ class AnnotatedChecker:
         else:
             # Warm start: recover the node ↔ variable correspondence the
             # original encode produced (names are deterministic), so the
-            # query loops in check()/has_violation() see every node.
+            # query loops in check()/has_violation() see every node, and
+            # count what _encode would have built: the pc seed, one
+            # constraint per CFG edge and one more (the call) per call
+            # node.
+            calls = 0
             for node in cfg.all_nodes():
                 self.node_var(node)
+                if node.kind == "call":
+                    calls += 1
+            self._constraints = 1 + cfg.edge_count() + calls
         self._reachability: Reachability | None = None
 
     # -- encoding ---------------------------------------------------------------

@@ -41,6 +41,14 @@ class _Lowering:
     ops: list[PointerOp] = field(default_factory=list)
     locations: set[str] = field(default_factory=set)
     _temps: itertools.count = field(default_factory=itertools.count)
+    _functions: dict[str, ast.Function] = field(init=False)
+
+    def __post_init__(self) -> None:
+        # One lookup per call.  A redefined name keeps its first
+        # definition, as ``Program.function`` does.
+        self._functions = {}
+        for definition in self.program.functions:
+            self._functions.setdefault(definition.name, definition)
 
     def location(self, name: str) -> str:
         self.locations.add(name)
@@ -137,9 +145,9 @@ class _Lowering:
             self.ops.append(("addr", temp, heap))
             return temp
         arg_values = [self.value_of(function, arg) for arg in expr.args]
-        if expr.callee not in self.program.function_names:
+        callee = self._functions.get(expr.callee)
+        if callee is None:
             return None  # unknown primitive: no pointer effects
-        callee = self.program.function(expr.callee)
         for param, value in zip(callee.params, arg_values):
             if value is not None:
                 self.ops.append(

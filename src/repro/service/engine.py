@@ -19,7 +19,10 @@ designed for a long-lived process answering many queries:
   verified so a snapshot is never replayed against the wrong machine.
   Snapshots carry no provenance, so only ``check`` requests without
   ``traces`` use them; a ``traces`` request is cached separately and
-  always solves with provenance, and a no-traces solve records none;
+  always solves with provenance.  The core is chosen by the rule
+  ``repro check`` uses (:func:`repro.modelcheck.uses_flat_core`): a
+  no-traces check of a non-parametric property solves, dumps, loads
+  and queries on the flat core;
 * **what-if queries** — speculative constraints are layered on a cached
   solved system under :meth:`Solver.mark`/``rollback`` (flow ``assume``
   edges), answering incremental questions without re-solving the base
@@ -68,7 +71,7 @@ from repro.core.persist import (
 from repro.core.solver import Solver, SolverStats
 from repro.dfa.gallery import one_bit_machine
 from repro.gcpause import paused
-from repro.modelcheck import PROPERTY_FACTORIES, AnnotatedChecker
+from repro.modelcheck import PROPERTY_FACTORIES, AnnotatedChecker, uses_flat_core
 from repro.modelcheck.properties import Property
 from repro.service import protocol
 from repro.service.journal import (
@@ -488,15 +491,14 @@ class AnalysisEngine:
         # Witnesses need provenance, which neither a snapshot nor a
         # no-traces solve carries: the two requests solve separately.
         key = ("check", fingerprint, phash, traces)
+        # The flat core's cases are exactly the snapshot tier's: no
+        # provenance wanted and a compiled (serializable) algebra.
+        flat = uses_flat_core(prop, traces)
 
         def build() -> AnnotatedChecker:
             cfg = self._parse_cfg(program)
-            snapshot = None if traces else self._snapshot_path(fingerprint, phash)
-            if (
-                snapshot is not None
-                and snapshot.exists()
-                and not prop.parametric_symbols
-            ):
+            snapshot = self._snapshot_path(fingerprint, phash) if flat else None
+            if snapshot is not None and snapshot.exists():
                 try:
                     loaded = load_solver(
                         read_snapshot(snapshot), expected_fingerprint=fingerprint
@@ -527,8 +529,9 @@ class AnalysisEngine:
                 algebra=self._check_algebra(prop, fingerprint),
                 record_reasons=traces,
                 budget=budget,
+                flat=flat,
             )
-            if snapshot is not None and not prop.parametric_symbols:
+            if snapshot is not None:
                 try:
                     self.snapshot_dir.mkdir(parents=True, exist_ok=True)
                     write_snapshot(snapshot, dump_solver(checker.solver))

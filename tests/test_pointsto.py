@@ -150,6 +150,22 @@ class TestInterprocedural:
         assert analysis.points_to("main::p") == expected
         assert naive.points_to("main::p") == expected
 
+    def test_redefined_function_binds_the_first_definition(self):
+        # A call to a name defined twice copies its actuals into the
+        # first definition's parameters, the one Program.function finds.
+        program = parse_program(
+            """
+            int *f(int *a) { return a; }
+            int *f(int *b) { return b; }
+            int main() { int x; int *p = f(&x); }
+            """
+        )
+        ops, _locations = extract_pointer_ops(program)
+        copied_to = {dst for kind, dst, _src in ops if kind == "copy"}
+        assert "f::a" in copied_to
+        assert "f::b" not in copied_to
+        assert AndersenAnalysis(program).points_to("main::p") == {"main::x"}
+
     def test_swap_through_double_pointers(self):
         analysis, _ = both(
             """
