@@ -20,13 +20,16 @@ pair is composed exactly once at the fixpoint.
 
 Semantics are *identical* to the object solver — the test suite and
 benchmarks assert canonical-solved-form equality across both cores,
-with cycle elimination, mark/rollback, and budget interrupt/resume in
-play.  Two deliberate non-goals:
+with cycle elimination and budget interrupt/resume in play.  Three
+deliberate non-goals:
 
 * **No provenance.**  ``record_reasons=True`` is rejected; witness
   extraction and :class:`repro.incremental.DeltaSolver` (which walks
   reasons to retract) stay on the object solver.  ``reason()`` returns
   ``None`` for every fact, which every query degrades gracefully on.
+* **No backtracking.**  Facts are never retracted; the flow what-if
+  (``FlowAnalysis.flows_assuming``) and every other speculative add
+  run on the object solver, which keeps the undo log.
 * **Object algebras are rejected** — representative functions and
   substitution environments are not ints; the object solver remains
   the semantic reference for them.
@@ -56,7 +59,7 @@ from repro.core.terms import (
     VariableFactory,
 )
 
-#: Fact-kind codes in worklist records and journal entries.
+#: Fact-kind codes in worklist records.
 _LOWER, _EDGE, _UPPER, _PROJ = 0, 1, 2, 3
 
 #: Worklist record width: [kind, var, a, b, c, d, snap].  Lower facts
@@ -156,7 +159,7 @@ class FlatSolver:
         self._proj_rows: list[list[tuple[int, int, int, int]] | None] = []
         self._proj_set: list[set[tuple[int, int, int, int]] | None] = []
         #: Identity out-degree, maintained *monotonically* (never
-        #: decremented on rollback or rehome — overcounting only costs a
+        #: decremented on rehome — overcounting only costs a
         #: wasted cycle search, undercounting would miss cycles).  An
         #: inserted edge src→dst can only close an identity cycle if an
         #: identity path dst→…→src exists, which needs dst to have at
@@ -173,11 +176,9 @@ class FlatSolver:
         self._wq: list[int] = []
         self._whead = 0
         # Int union-find (min-name representative, like the object
-        # solver); path compression is suppressed while a journal epoch
-        # is open because the undo log cannot unwind it.
+        # solver).
         self._ufp: dict[int, int] = {}
         self._find_calls = 0
-        self._journal: list[list[tuple]] = []
         self.facts_processed = 0
         self.stats = SolverStats()
 
@@ -319,10 +320,9 @@ class FlatSolver:
                 break
             path.append(root)
             root = nxt
-        if not self._journal:
-            for step in path:
-                parent[step] = root
-            parent[vid] = root
+        for step in path:
+            parent[step] = root
+        parent[vid] = root
         return root
 
     def lower_bounds(
@@ -420,115 +420,6 @@ class FlatSolver:
 
     def reason(self, fact: FactKey) -> None:
         return None
-
-    # -- backtracking ----------------------------------------------------------
-
-    def mark(self) -> int:
-        self._journal.append([])
-        self.stats.marks += 1
-        return len(self._journal)
-
-    def rollback(self) -> None:
-        if not self._journal:
-            raise RuntimeError("rollback() without a matching mark()")
-        self.stats.rollbacks += 1
-        epoch = self._journal.pop()
-        span = self._span
-        # Pass 1 (reverse order): undo the special records — demerges
-        # first restore detached loser columns, then union links unwind
-        # — and count fact insertions per (kind, variable).
-        counts: dict[tuple[int, int], int] = {}
-        for record in reversed(epoch):
-            tag = record[0]
-            if type(tag) is int:
-                key = (tag, record[1])
-                counts[key] = counts.get(key, 0) + 1
-            elif tag == "met":
-                self._met.discard(record[1])
-            elif tag == "inc":
-                if self.inconsistencies:
-                    self.inconsistencies.pop()
-            elif tag == "uf":
-                self._ufp.pop(record[1], None)
-            elif tag == "predfold":
-                _t, winner, added = record
-                bucket = self._pred[winner]
-                for key in added:
-                    bucket.pop(key, None)
-            elif tag == "demerge":
-                (
-                    _t,
-                    vid,
-                    low_src,
-                    low_ann,
-                    low_set,
-                    up_snk,
-                    up_ann,
-                    up_set,
-                    succ_dst,
-                    succ_ann,
-                    succ_set,
-                    pred,
-                    proj_rows,
-                    proj_set,
-                    drained,
-                ) = record
-                self._low_src[vid] = low_src
-                self._low_ann[vid] = low_ann
-                self._low_set[vid] = low_set
-                self._up_snk[vid] = up_snk
-                self._up_ann[vid] = up_ann
-                self._up_set[vid] = up_set
-                self._succ_dst[vid] = succ_dst
-                self._succ_ann[vid] = succ_ann
-                self._succ_set[vid] = succ_set
-                self._pred[vid] = pred
-                self._proj_rows[vid] = proj_rows
-                self._proj_set[vid] = proj_set
-                self._lower_drained[vid] = drained
-        # Pass 2: truncate the counted insertions.  Journal records for
-        # one (kind, variable) always describe the *tail* of that
-        # variable's column (columns are append-only), so popping the
-        # last k entries — after pass 1 restored any detached columns —
-        # removes exactly the epoch's facts.
-        for (kind, vid), k in counts.items():
-            if kind == _LOWER:
-                srcs = self._low_src[vid]
-                anns = self._low_ann[vid]
-                bucket = self._low_set[vid]
-                for _ in range(k):
-                    bucket.discard(srcs.pop() * span + anns.pop())
-                if self._lower_drained[vid] > len(srcs):
-                    self._lower_drained[vid] = len(srcs)
-            elif kind == _EDGE:
-                dsts = self._succ_dst[vid]
-                anns = self._succ_ann[vid]
-                bucket = self._succ_set[vid]
-                pred = self._pred
-                idk = self._idk
-                for _ in range(k):
-                    dst = dsts.pop()
-                    ann = anns.pop()
-                    bucket.discard(dst * span + ann)
-                    if ann == idk:
-                        pbucket = pred[dst]
-                        if pbucket is not None:
-                            pbucket.pop(vid, None)
-            elif kind == _UPPER:
-                snks = self._up_snk[vid]
-                anns = self._up_ann[vid]
-                bucket = self._up_set[vid]
-                for _ in range(k):
-                    bucket.discard(snks.pop() * span + anns.pop())
-            else:
-                rows = self._proj_rows[vid]
-                bucket = self._proj_set[vid]
-                for _ in range(k):
-                    bucket.discard(rows.pop())
-
-    def _record(self, entry: tuple) -> None:
-        if self._journal:
-            self._journal[-1].append(entry)
 
     # -- worklist / solving ----------------------------------------------------
 
@@ -650,8 +541,6 @@ class FlatSolver:
         bucket.add(key)
         self._low_src[var].append(src)
         self._low_ann[var].append(ann)
-        if self._journal:
-            self._journal[-1].append((_LOWER, var))
         self.stats.lowers_added += 1
         self._wq.extend((_LOWER, var, src, ann, 0, 0, 0))
 
@@ -685,8 +574,6 @@ class FlatSolver:
                 pbucket = self._pred[dst] = {}
             pbucket[src] = None
             self._id_out[src] += 1
-        if self._journal:
-            self._journal[-1].append((_EDGE, src))
         self.stats.edges_added += 1
         self._wq.extend(
             (_EDGE, src, dst, ann, 0, 0, self._lower_drained[src])
@@ -719,8 +606,6 @@ class FlatSolver:
         bucket.add(key)
         self._up_snk[var].append(snk)
         self._up_ann[var].append(ann)
-        if self._journal:
-            self._journal[-1].append((_UPPER, var))
         self.stats.uppers_added += 1
         self._wq.extend(
             (_UPPER, var, snk, ann, 0, 0, self._lower_drained[var])
@@ -747,8 +632,6 @@ class FlatSolver:
             return
         bucket.add(row)
         self._proj_rows[var].append(row)
-        if self._journal:
-            self._journal[-1].append((_PROJ, var))
         self.stats.projections_added += 1
         self._wq.extend(
             (_PROJ, var, ctor, index, target, ann, self._lower_drained[var])
@@ -759,14 +642,12 @@ class FlatSolver:
         if key in self._met:
             return
         self._met.add(key)
-        self._record(("met", key))
         src_cid = self._term_ctor[src]
         snk_cid = self._term_ctor[snk]
         if src_cid != snk_cid:
             self.inconsistencies.append(
                 Inconsistency(self._terms[src], self._terms[snk], ann)
             )
-            self._record(("inc",))
             return
         ctor = self._ctors[src_cid]
         src_args = self._term_args[src]
@@ -839,7 +720,6 @@ class FlatSolver:
         try:
             for loser in losers:
                 self._ufp[loser] = winner
-                self._record(("uf", loser))
             for loser in losers:
                 self._rehome(loser, winner)
         finally:
@@ -848,17 +728,12 @@ class FlatSolver:
     def _rehome(self, loser: int, winner: int) -> None:
         low_src = self._low_src[loser]
         low_ann = self._low_ann[loser]
-        low_set = self._low_set[loser]
         up_snk = self._up_snk[loser]
         up_ann = self._up_ann[loser]
-        up_set = self._up_set[loser]
         succ_dst = self._succ_dst[loser]
         succ_ann = self._succ_ann[loser]
-        succ_set = self._succ_set[loser]
         pred = self._pred[loser]
         proj_rows = self._proj_rows[loser]
-        proj_set = self._proj_set[loser]
-        drained = self._lower_drained[loser]
         self._low_src[loser] = None
         self._low_ann[loser] = None
         self._low_set[loser] = None
@@ -874,7 +749,6 @@ class FlatSolver:
         self._lower_drained[loser] = 0
         # Fold the loser's predecessor index into the winner's so future
         # reverse-path samples still see the incoming identity edges.
-        added: list[int] = []
         if pred:
             wbucket = self._pred[winner]
             if wbucket is None:
@@ -882,31 +756,8 @@ class FlatSolver:
             find = self._find
             for raw in pred:
                 p = find(raw)
-                if p == winner:
-                    continue
-                if p not in wbucket:
+                if p != winner:
                     wbucket[p] = None
-                    added.append(p)
-        self._record(("predfold", winner, tuple(added)))
-        self._record(
-            (
-                "demerge",
-                loser,
-                low_src,
-                low_ann,
-                low_set,
-                up_snk,
-                up_ann,
-                up_set,
-                succ_dst,
-                succ_ann,
-                succ_set,
-                pred,
-                proj_rows,
-                proj_set,
-                drained,
-            )
-        )
         # Re-enqueue the loser's facts; the enqueue canonicalizes loser
         # ids to the winner, dedups against the winner's entries, and
         # restores the worklist pairing invariant (re-enqueued lowers

@@ -44,10 +44,9 @@ system with no solution writes its inconsistencies too, with their
 ``(source, sink, annotation)`` triples as its ``met`` memo; a
 consistent fixpoint has none of the three sections.
 
-Earlier formats still load: version 1 (inline annotations per fact),
-version 2 (an annotation element table, facts spelling out their
-terms) and version 3 (version 2 plus the checkpoint sections) are
-upgraded into the version-4 tables on load.
+Only version 4 loads: :func:`load_solver` refuses any other version
+with the ``ValueError`` its callers treat as a stale snapshot (the
+service solves cold and rewrites the file).
 
 Only :class:`~repro.core.annotations.MonoidAlgebra`,
 :class:`~repro.core.annotations.CompiledMonoidAlgebra` and
@@ -77,7 +76,6 @@ from repro.dfa.automaton import DFA
 from repro.dfa.monoid import RepresentativeFunction
 
 FORMAT_VERSION = 4
-SUPPORTED_VERSIONS = (1, 2, 3, 4)
 
 #: Difference-propagation snapshot assigned to reloaded pending facts:
 #: larger than any lower-bound sequence, so the resumed drain clamps it
@@ -545,105 +543,7 @@ class SnapshotTables:
             yield fact, (0 if kind == "lower" else _DRAINED_ALL)
 
 
-def _upgrade(data: dict) -> dict:
-    """Rewrite a version 1–3 payload as the version-4 tables.
-
-    Version 1 inlines each fact's annotation; versions 2 and 3 index an
-    ``elements`` table.  All three spell out every variable by name and
-    every term as a constructor object, and version 3 adds the
-    checkpoint sections with the same spelling.
-    """
-    if data["version"] >= 2:
-        old_elements = [_decode_annotation(a) for a in data["elements"]]
-        annotation: Callable[[Any], Any] = old_elements.__getitem__
-    else:
-        annotation = _decode_annotation
-    names: dict[str, Variable] = {}
-    terms: dict[tuple, Constructed] = {}
-
-    def var(name: str) -> Variable:
-        found = names.get(name)
-        if found is None:
-            found = names[name] = Variable(name)
-        return found
-
-    def ctor(cdata: dict) -> Constructor:
-        variance = cdata["variance"]
-        if variance is not None:
-            variance = tuple(variance)
-        return Constructor(cdata["name"], cdata["arity"], variance)
-
-    def term(cdata: dict) -> Constructed:
-        variance = cdata["variance"]
-        key = (
-            cdata["name"],
-            cdata["arity"],
-            tuple(variance) if variance is not None else None,
-            tuple(cdata["args"]),
-        )
-        found = terms.get(key)
-        if found is None:
-            found = terms[key] = Constructed(
-                ctor(cdata), tuple(var(n) for n in cdata["args"])
-            )
-        return found
-
-    def fact(kind: str, entry: list) -> tuple:
-        if kind == "lower" or kind == "upper":
-            name, tdata, ann = entry
-            return (kind, var(name), term(tdata), annotation(ann))
-        if kind == "edge":
-            src, dst, ann = entry
-            return (kind, var(src), var(dst), annotation(ann))
-        if kind == "proj":
-            name, cdata, index, target, ann = entry
-            return (kind, var(name), ctor(cdata), index, var(target), annotation(ann))
-        raise ValueError(f"unknown pending fact kind {kind!r}")
-
-    facts = [
-        fact(kind, entry)
-        for kind, key in (
-            ("lower", "lowers"), ("upper", "uppers"),
-            ("edge", "edges"), ("proj", "projections"),
-        )
-        for entry in data[key]
-    ]
-    merged = [
-        (var(loser), var(rep))
-        for loser, rep in sorted(data.get("merged", {}).items())
-    ]
-    checkpoint = None
-    if "pending" in data:
-        checkpoint = (
-            [fact(entry[0], entry[1:]) for entry in data["pending"]],
-            [
-                (term(src), term(snk), annotation(ann))
-                for src, snk, ann in data.get("met", ())
-            ],
-            [
-                Inconsistency(term(src), term(snk), annotation(ann))
-                for src, snk, ann in data.get("inconsistencies", ())
-            ],
-        )
-    upgraded = {key: value for key, value in data.items() if key not in _BODY_KEYS}
-    upgraded["version"] = FORMAT_VERSION
-    upgraded.update(_encode_body(_Encoder(lambda ann: ann), facts, merged, checkpoint))
-    return upgraded
-
-
-#: The sections :func:`_upgrade` rewrites; every other key (the header)
-#: carries over.
-_BODY_KEYS = frozenset(
-    (
-        "elements", "lowers", "uppers", "edges", "projections",
-        "merged", "pending", "met", "inconsistencies",
-    )
-)
-
-
-def load_solver(
-    text: str, expected_fingerprint: str | None = None
-) -> Solver | FlatSolver:
+def load_solver(text: str, algebra: Any = None) -> Solver | FlatSolver:
     """Reconstruct a solver holding an already-closed solved form.
 
     Facts are installed directly (the dump was closed, so re-closing is
@@ -654,29 +554,22 @@ def load_solver(
     it.
 
     The dump embeds a :func:`machine_fingerprint` of its property
-    machine.  It is verified against the machine actually stored in the
-    dump (detecting a corrupted or hand-edited snapshot), and — when
-    ``expected_fingerprint`` is given — against the machine the caller
-    intends to use, so a snapshot can never be silently replayed
-    against the wrong property machine.  Both mismatches raise
-    :class:`ValueError`.
+    machine, verified against the machine stored in the dump (detecting
+    a corrupted or hand-edited snapshot).  Without ``algebra`` the
+    loader builds the dump's own algebra from that machine.  With one,
+    the dump must hold a system of the same kind (its ``algebra`` tag)
+    solved against the same machine, and the solver runs over that very
+    object, so a caller that caches compiled algebras compiles none per
+    load and a snapshot can never be silently replayed against the
+    wrong property machine.  Every mismatch, and every format other than
+    :data:`FORMAT_VERSION`, raises :class:`ValueError`.
     """
     data = json.loads(text)
     version = data.get("version")
-    if version not in SUPPORTED_VERSIONS:
+    if version != FORMAT_VERSION:
         raise ValueError(f"unsupported dump version {version!r}")
     algebra_tag = data.get("algebra")
-    if algebra_tag is None:  # version-1 dumps carry no tag
-        algebra_tag = "monoid" if data["machine"] is not None else "unannotated"
-    if data["machine"] is not None:
-        machine = dfa_from_dict(data["machine"])
-        if algebra_tag == "compiled":
-            algebra: Any = CompiledMonoidAlgebra(machine)
-        else:
-            algebra = MonoidAlgebra(machine)
-    else:
-        machine = None
-        algebra = UnannotatedAlgebra()
+    machine = dfa_from_dict(data["machine"]) if data["machine"] is not None else None
     actual = machine_fingerprint(machine)
     stored = data.get("fingerprint")
     if stored is not None and stored != actual:
@@ -684,22 +577,29 @@ def load_solver(
             f"snapshot fingerprint {stored!r} does not match its own "
             f"machine ({actual!r}): the dump is corrupt or was edited"
         )
-    if expected_fingerprint is not None and expected_fingerprint != actual:
-        raise ValueError(
-            f"snapshot was solved against machine {actual!r} but "
-            f"{expected_fingerprint!r} was expected: refusing to replay "
-            "it against a different property machine"
-        )
-    flat = data.get("core") == "flat"
-    if flat:
-        if version < 2:
-            raise ValueError("flat dumps are always format version 2 or later")
-        if not hasattr(algebra, "encode"):
+    if algebra is None:
+        if machine is None:
+            algebra = UnannotatedAlgebra()
+        elif algebra_tag == "compiled":
+            algebra = CompiledMonoidAlgebra(machine)
+        else:
+            algebra = MonoidAlgebra(machine)
+    else:
+        kind, own_machine, _ = _algebra_info(algebra)
+        if kind != algebra_tag:
             raise ValueError(
-                f"flat dumps require a compiled algebra, got {algebra_tag!r}"
+                f"snapshot holds a {algebra_tag!r} system, not a {kind!r} one"
             )
-    if version < FORMAT_VERSION:
-        data = _upgrade(data)
+        expected = machine_fingerprint(own_machine)
+        if expected != actual:
+            raise ValueError(
+                f"snapshot was solved against machine {actual!r} but "
+                f"{expected!r} was expected: refusing to replay it against "
+                "a different property machine"
+            )
+    flat = data.get("core") == "flat"
+    if flat and not hasattr(algebra, "encode"):
+        raise ValueError(f"flat dumps require a compiled algebra, got {algebra_tag!r}")
     # A compiled algebra solves over table indices, not functions.
     to_domain = algebra.encode if algebra_tag == "compiled" else (lambda ann: ann)
     tables = SnapshotTables(data, to_domain)
@@ -715,8 +615,8 @@ def load_solver(
 
 # -- crash-safe snapshot files -----------------------------------------------
 
-#: First bytes of a checksummed snapshot file.  Files without it are
-#: treated as legacy bare-JSON dumps (readable, but unverifiable).
+#: First bytes of a checksummed snapshot file.  A file without it is
+#: refused as corrupt: every snapshot written since v1.3.0 has it.
 SNAPSHOT_MAGIC = "#repro-snapshot"
 
 #: Seam for fault injection (:mod:`repro.testing.faults` patches this to
@@ -777,15 +677,13 @@ def read_snapshot(path: str | pathlib.Path) -> str:
     """Read a snapshot file, verifying its checksum header.
 
     Raises :class:`~repro.core.errors.SnapshotCorrupt` when the header
-    is malformed, the recorded size disagrees (truncation), or the
-    checksum does not match (bit flips).  Files that never had a header
-    (legacy bare dumps) are returned as-is — their internal fingerprint
-    check in :func:`load_solver` is then the only guard.
+    is missing or malformed, the recorded size disagrees (truncation),
+    or the checksum does not match (bit flips).
     """
     path = pathlib.Path(path)
     raw = path.read_bytes()
     if not raw.startswith(SNAPSHOT_MAGIC.encode("ascii")):
-        return raw.decode("utf-8")
+        raise SnapshotCorrupt(str(path), f"no {SNAPSHOT_MAGIC} header")
     newline = raw.find(b"\n")
     if newline < 0:
         raise SnapshotCorrupt(str(path), "header line is truncated")
@@ -941,9 +839,7 @@ def write_solver_snapshot(
 
 
 def load_solver_snapshot(
-    path: str | pathlib.Path, expected_fingerprint: str | None = None
+    path: str | pathlib.Path, algebra: Any = None
 ) -> Solver | FlatSolver:
     """Convenience: :func:`read_snapshot` + :func:`load_solver`."""
-    return load_solver(
-        read_snapshot(path), expected_fingerprint=expected_fingerprint
-    )
+    return load_solver(read_snapshot(path), algebra=algebra)

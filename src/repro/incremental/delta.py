@@ -624,9 +624,6 @@ class DeltaSolver:
                     bucket.discard(key)
         return info
 
-    def ledger_size(self) -> int:
-        return sum(len(v) for v in self._ledger.values())
-
     def _refresh(self) -> None:
         self.support.refresh()
 

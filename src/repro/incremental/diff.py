@@ -398,17 +398,6 @@ class StableCheck:
 
     # -- patching --------------------------------------------------------------
 
-    def diff_to(self, new_source: str) -> tuple[Patch, list[tuple], dict[int, Variable]]:
-        """The patch from the current program to ``new_source`` (plus the
-        new ledger and variable map, so a successful apply can install
-        them without re-encoding)."""
-        new_cfg = build_cfg(new_source)
-        new_batch, new_vars = stable_encode(new_cfg, self.property, self.algebra)
-        patch = diff_constraints(
-            self.constraints, new_batch, self.algebra.identity
-        )
-        return patch, new_batch, new_vars
-
     def apply_source(self, new_source: str) -> "PatchOutcome":
         """Patch the solved system to match ``new_source``.
 

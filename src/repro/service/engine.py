@@ -501,11 +501,13 @@ class AnalysisEngine:
             if snapshot is not None and snapshot.exists():
                 try:
                     loaded = load_solver(
-                        read_snapshot(snapshot), expected_fingerprint=fingerprint
+                        read_snapshot(snapshot),
+                        algebra=self._check_algebra(prop, fingerprint),
                     )
                 except SnapshotCorrupt:
-                    # Checksum/size mismatch: quarantine the file so the
-                    # corruption is counted once, then solve cold.
+                    # No header, or a checksum/size mismatch: quarantine
+                    # the file so the corruption is counted once, then
+                    # solve cold.
                     self.metrics.incr("cache.snapshot.corrupt")
                     try:
                         snapshot.unlink()

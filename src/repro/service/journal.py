@@ -16,9 +16,9 @@ client back to cold solves.  :class:`SessionJournal` makes the session
   each record durable before the patch is applied, larger values trade
   the tail of the journal for throughput (group commit) — a lost tail
   is always *detected* on recovery, never silently replayed;
-* every ``compact_every`` records the journal is **compacted**: a v3
-  solver snapshot is written next to it and the journal is rotated to a
-  fresh file whose opening ``base`` record carries the session's
+* every ``compact_every`` records the journal is **compacted**: a
+  format-4 solver snapshot is written next to it and the journal is
+  rotated to a fresh file whose opening ``base`` record carries the session's
   current source and version, so replay cost is bounded by the
   compaction interval, not the session's lifetime;
 * on startup :meth:`load` parses each journal into a

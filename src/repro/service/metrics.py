@@ -67,13 +67,6 @@ class Metrics:
         with self._lock:
             self._gauges[name] = value
 
-    def adjust_gauge(self, name: str, delta: int) -> int:
-        """Add ``delta`` to a gauge and return the new level."""
-        with self._lock:
-            value = self._gauges.get(name, 0) + delta
-            self._gauges[name] = value
-            return value
-
     def gauge(self, name: str) -> int:
         with self._lock:
             return self._gauges.get(name, 0)

@@ -13,12 +13,10 @@ pins that claim from a different angle:
 * ``add_many`` batches equal one-at-a-time adds; duplicates surface in
   ``SolverStats.facts_deduped``;
 * compiled solved forms persist and warm-start (including online adds
-  on top of a loaded snapshot), and version-1 dumps still load.
+  on top of a loaded snapshot).
 """
 
 from __future__ import annotations
-
-import json
 
 import pytest
 from hypothesis import given, settings
@@ -53,7 +51,6 @@ from repro.modelcheck import (
 )
 from repro.synth import PackageSpec, generate_package
 from tests.test_cross_validation import random_program
-from tests.test_snapshot_format import FIXTURES, object_system
 
 GALLERY = {
     "one_bit": one_bit_machine,
@@ -328,21 +325,3 @@ def test_loaded_solver_resumes_online_solving():
         ann == expected and src.constructor.name == "c"
         for src, ann in loaded.lower_bounds(z)
     )
-
-
-def test_v1_dumps_still_load():
-    """Version-1 snapshots (inline annotations, no algebra tag) load."""
-    solver = object_system()
-    data = json.loads((FIXTURES / "v2_object.json").read_text())
-    # Rewrite the committed v2 dump of the same system as its v1
-    # equivalent: inline annotations.
-    elements = data.pop("elements")
-    data["version"] = 1
-    del data["algebra"]
-    for kind in ("lowers", "uppers", "edges", "projections"):
-        for fact in data[kind]:
-            fact[-1] = elements[fact[-1]]
-    loaded = load_solver(json.dumps(data))
-    assert isinstance(loaded.algebra, MonoidAlgebra)
-    assert loaded.fact_count() == solver.fact_count()
-    assert _solved_form(loaded) == _solved_form(solver)

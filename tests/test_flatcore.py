@@ -4,11 +4,12 @@ The load-bearing property: :class:`repro.core.flatcore.FlatSolver` is a
 pure performance restructuring — for every constraint set over a
 compiled algebra it reaches the *same* canonical solved form as the
 object-mode :class:`~repro.core.solver.Solver`, under every feature
-combination the object core supports (cycle elimination on/off, budget
-interrupt/resume, mark/rollback, persistence round-trips, and
-DeltaSolver patching on the object side).  The hypothesis suite asserts
-that across randomized constraint sets and both compiled algebra
-families; the unit tests pin the difference-propagation invariants
+combination the two cores share (cycle elimination on/off, budget
+interrupt/resume, persistence round-trips, and DeltaSolver patching on
+the object side; backtracking is the object core's alone).  The
+hypothesis suite asserts that across randomized constraint sets and
+both compiled algebra families; the unit tests pin the
+difference-propagation invariants
 (``compositions_saved``, ``redundant_compositions == 0``), a wide lower
 column composed without numpy, and the typed rejections.
 """
@@ -160,22 +161,6 @@ class TestFlatEqualsObject:
                 continue
         obj = Solver(algebra, record_reasons=False)
         obj.add_many(constraints)
-        assert _canonical(flat) == _canonical(obj), seed
-
-    @given(st.integers(min_value=0, max_value=100_000), st.booleans())
-    @settings(max_examples=25, deadline=None)
-    def test_mark_rollback_matches_object_solver(self, seed, genkill):
-        algebra, constraints = _random_constraints(seed, genkill)
-        _, speculative = _random_constraints(seed + 1, genkill)
-        half = len(constraints) // 2
-        flat = FlatSolver(algebra)
-        obj = Solver(algebra, record_reasons=False)
-        for solver in (flat, obj):
-            solver.add_many(constraints[:half])
-            solver.mark()
-            solver.add_many(speculative)
-            solver.rollback()
-            solver.add_many(constraints[half:])
         assert _canonical(flat) == _canonical(obj), seed
 
     @given(st.integers(min_value=0, max_value=100_000), st.booleans())

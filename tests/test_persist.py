@@ -4,7 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.annotations import MonoidAlgebra
+from repro.core.annotations import (
+    CompiledMonoidAlgebra,
+    MonoidAlgebra,
+    UnannotatedAlgebra,
+)
 from repro.core.persist import (
     dfa_from_dict,
     dfa_to_dict,
@@ -229,16 +233,16 @@ class TestMachineFingerprint:
         assert data["fingerprint"] == machine_fingerprint(privilege_machine())
 
     def test_load_verifies_expected_fingerprint(self):
-        from repro.core.persist import machine_fingerprint
-
         dump = dump_solver(build_sample_solver())
-        # the right machine loads fine
-        load_solver(dump, expected_fingerprint=machine_fingerprint(privilege_machine()))
+        # the right machine loads, onto the caller's algebra object
+        algebra = MonoidAlgebra(privilege_machine())
+        assert load_solver(dump, algebra=algebra).algebra is algebra
         # replaying against a different property machine is refused
         with pytest.raises(ValueError, match="different property machine"):
-            load_solver(
-                dump, expected_fingerprint=machine_fingerprint(one_bit_machine())
-            )
+            load_solver(dump, algebra=MonoidAlgebra(one_bit_machine()))
+        # and so is another kind of algebra over the same machine
+        with pytest.raises(ValueError, match="'monoid' system"):
+            load_solver(dump, algebra=CompiledMonoidAlgebra(privilege_machine()))
 
     def test_load_detects_swapped_machine(self):
         import json
@@ -252,8 +256,13 @@ class TestMachineFingerprint:
             load_solver(json.dumps(data))
 
     def test_unannotated_dump_round_trips_with_fingerprint(self):
+        import json
+
         from repro.core.persist import UNANNOTATED_FINGERPRINT
 
         solver = Solver()
         solver.add(constant("c"), Variable("X"))
-        load_solver(dump_solver(solver), expected_fingerprint=UNANNOTATED_FINGERPRINT)
+        dump = dump_solver(solver)
+        assert json.loads(dump)["fingerprint"] == UNANNOTATED_FINGERPRINT
+        algebra = UnannotatedAlgebra()
+        assert load_solver(dump, algebra=algebra).algebra is algebra

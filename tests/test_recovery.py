@@ -36,6 +36,8 @@ from repro.core.annotations import MonoidAlgebra
 from repro.core.persist import (
     JOURNAL_MAGIC,
     frame_journal_record,
+    read_snapshot,
+    write_snapshot,
     write_solver_snapshot,
 )
 from repro.incremental import StableCheck
@@ -278,6 +280,41 @@ class TestQuarantineSlugs:
         assert follow["patched"] is True
         assert_same_verdict(follow, cold_result(P3))
         fresh.close()
+
+    @pytest.mark.parametrize("damage", ["format-3", "headerless"])
+    def test_refused_oracle_snapshot_still_recovers(self, tmp_path, damage):
+        # The base source is authoritative: a compaction snapshot the
+        # loader refuses is no oracle, not a reason to quarantine.
+        engine = AnalysisEngine(journal_dir=tmp_path, journal_compact_every=1)
+        r1 = engine.patch(P1, PROP_NAME)
+        r2 = engine.patch(P2, PROP_NAME, base=r1["version"])
+        engine.close()
+        fp = r2["fingerprint"]
+        journal = SessionJournal(tmp_path)
+        lineage = journal.load(fp)
+        assert lineage.snapshot is not None
+        path = tmp_path / lineage.snapshot
+        payload = read_snapshot(path)
+        if damage == "format-3":
+            data = json.loads(payload)
+            data["version"] = 3
+            write_snapshot(path, json.dumps(data))
+        else:
+            path.write_text(payload)
+        assert journal.read_snapshot_oracle(lineage) is None
+
+        fresh = AnalysisEngine(journal_dir=tmp_path)
+        assert fresh.recoveries == 1
+        assert fresh._quarantined == {}
+        assert fresh.metrics.get("journal.quarantined") == 0
+        result = fresh.patch(P3, PROP_NAME, base=r2["version"])
+        assert result["patched"] is True
+        assert result["fallback"] is None
+        recovered = set(fresh._delta[fp].check.solver.canonical_facts())
+        fresh.close()
+        cold = StableCheck(P3, simple_privilege_property())
+        assert recovered == set(cold.solver.canonical_facts())
+        assert_same_verdict(result, cold_result(P3))
 
     def test_quarantine_preserves_evidence_file(self, tmp_path):
         engine = AnalysisEngine(journal_dir=tmp_path)

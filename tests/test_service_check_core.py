@@ -9,6 +9,7 @@ baseline on generated programs; CI replays it under fixed hypothesis
 seeds.
 """
 
+import json
 import tempfile
 import textwrap
 
@@ -22,6 +23,8 @@ from repro.core.budget import Budget, CancellationToken
 from repro.core.errors import SolverBudgetExceeded
 from repro.core.flatcore import FlatSolver
 from repro.core.persist import (
+    FORMAT_VERSION,
+    SNAPSHOT_MAGIC,
     dump_solver,
     machine_fingerprint,
     read_snapshot,
@@ -152,6 +155,62 @@ class TestObjectSnapshot:
         assert fresh.check(VULNERABLE, "simple-privilege") == expected
         assert fresh.metrics.get("cache.snapshot.warm") == 1
         assert type(only_solver(fresh)) is Solver
+
+
+class TestSnapshotLoad:
+    """A warm load runs on the engine's cached algebra; a snapshot the
+    loader refuses is solved cold and rewritten in today's format."""
+
+    def _snapshot(self, tmp_path):
+        AnalysisEngine(snapshot_dir=tmp_path).check(VULNERABLE, "simple-privilege")
+        (snapshot,) = tmp_path.iterdir()
+        return snapshot
+
+    def _assert_solved_cold_and_rewritten(self, engine, snapshot):
+        cold = AnalysisEngine().check(VULNERABLE, "simple-privilege")
+        assert engine.check(VULNERABLE, "simple-privilege") == cold
+        assert engine.metrics.get("cache.snapshot.warm") == 0
+        assert snapshot.read_bytes().startswith(SNAPSHOT_MAGIC.encode("ascii"))
+        data = json.loads(read_snapshot(snapshot))
+        assert data["version"] == FORMAT_VERSION
+        assert data["fingerprint"] == machine_fingerprint(
+            PROPERTY_FACTORIES["simple-privilege"]().machine
+        )
+
+    def test_warm_load_runs_on_the_cached_algebra(self, tmp_path):
+        self._snapshot(tmp_path)
+        warm = AnalysisEngine(snapshot_dir=tmp_path)
+        warm.check(VULNERABLE, "simple-privilege")
+        assert warm.metrics.get("cache.snapshot.warm") == 1
+        prop, fingerprint = warm._property("simple-privilege")
+        assert only_solver(warm).algebra is warm._check_algebra(prop, fingerprint)
+
+    def test_format_3_snapshot_is_solved_cold(self, tmp_path):
+        snapshot = self._snapshot(tmp_path)
+        data = json.loads(read_snapshot(snapshot))
+        data["version"] = 3
+        write_snapshot(snapshot, json.dumps(data))
+        fresh = AnalysisEngine(snapshot_dir=tmp_path)
+        self._assert_solved_cold_and_rewritten(fresh, snapshot)
+        assert fresh.metrics.get("cache.snapshot.corrupt") == 0
+
+    def test_headerless_snapshot_is_corrupt(self, tmp_path):
+        snapshot = self._snapshot(tmp_path)
+        snapshot.write_text(read_snapshot(snapshot))  # the bare dump
+        fresh = AnalysisEngine(snapshot_dir=tmp_path)
+        self._assert_solved_cold_and_rewritten(fresh, snapshot)
+        assert fresh.metrics.get("cache.snapshot.corrupt") == 1
+
+    def test_snapshot_of_another_machine_is_solved_cold(self, tmp_path):
+        snapshot = self._snapshot(tmp_path)
+        other = PROPERTY_FACTORIES["chroot-jail"]()
+        assert machine_fingerprint(other.machine) != json.loads(
+            read_snapshot(snapshot)
+        )["fingerprint"]
+        checker = AnnotatedChecker(build_cfg(VULNERABLE), other, flat=True)
+        write_snapshot(snapshot, dump_solver(checker.solver))
+        fresh = AnalysisEngine(snapshot_dir=tmp_path)
+        self._assert_solved_cold_and_rewritten(fresh, snapshot)
 
 
 class TestCheckpointSnapshot:

@@ -1,4 +1,4 @@
-"""Snapshot format v4: round trips, deterministic bytes, and older formats.
+"""Snapshot format v4: round trips, deterministic bytes, and refusals.
 
 * **Round-trip oracle** — object and flat cores × cycle elimination
   on/off × fixpoint and checkpoint dumps: a loaded snapshot has the
@@ -9,17 +9,17 @@
   meets stay in the memo.
 * **Deterministic bytes** — one package dumps to the same bytes under
   different string-hash seeds.
-* **Compatibility fixtures** — ``tests/fixtures/v2_object.json`` is a
-  format-2 fixpoint dump of :func:`object_system` and
-  ``tests/fixtures/v3_flat_checkpoint.json`` a format-3 checkpoint of
-  :func:`flat_checkpoint_system`, both written by the v1.15.0
-  ``dump_solver``.  ``tests/fixtures/snapshot_forms.json`` records the
-  canonical form (:func:`canonical_form`) each loads to, and the
-  checkpoint's fixpoint.  Running this module as a script rewrites the
-  three files with the importable ``dump_solver``, so it reproduces
-  them only against the v1.15.0 sources.
-* **Tampering** — malformed rows raise the ``ValueError`` the
-  service's cold-solve fallback catches.
+* **Compatibility fixtures** — ``tests/fixtures/v4_object.json`` is a
+  fixpoint dump of :func:`object_system` and
+  ``tests/fixtures/v4_flat_checkpoint.json`` a checkpoint of
+  :func:`flat_checkpoint_system`, both committed files in the one
+  format that loads, so a loader change that stops existing snapshot
+  files from loading fails here.  ``tests/fixtures/snapshot_forms.json``
+  records the canonical form (:func:`canonical_form`) each loads to,
+  and the checkpoint's fixpoint.  Running this module as a script
+  rewrites the three files with the importable ``dump_solver``.
+* **Tampering** — malformed rows and every format but version 4 raise
+  the ``ValueError`` the service's cold-solve fallback catches.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from repro.core.annotations import CompiledMonoidAlgebra, MonoidAlgebra
 from repro.core.budget import Budget
 from repro.core.errors import SolverInterrupted
 from repro.core.flatcore import FlatSolver
-from repro.core.persist import dump_solver, load_solver
+from repro.core.persist import FORMAT_VERSION, dump_solver, load_solver
 from repro.core.solver import Solver
 from repro.core.terms import Constructor, Variable, constant
 from repro.dfa.gallery import privilege_machine
@@ -263,26 +263,26 @@ def test_dump_bytes_do_not_depend_on_the_hash_seed():
 
 
 class TestCompatibilityFixtures:
-    def test_v2_object_snapshot_loads_to_its_recorded_form(self):
-        text = (FIXTURES / "v2_object.json").read_text()
-        assert json.loads(text)["version"] == 2
-        recorded = _forms()["v2_object"]
+    def test_v4_object_loads_to_its_recorded_form(self):
+        text = (FIXTURES / "v4_object.json").read_text()
+        assert json.loads(text)["version"] == FORMAT_VERSION
+        recorded = _forms()["v4_object"]
         loaded = load_solver(text)
         assert isinstance(loaded, Solver)
         assert isinstance(loaded.algebra, MonoidAlgebra)
         assert canonical_form(loaded) == recorded["canonical"]
         assert loaded.fact_count() == recorded["fact_count"]
         assert canonical_form(object_system()) == recorded["canonical"]
-        # Upgraded on load, it dumps as version 4 to the same form.
-        again = load_solver(dump_solver(loaded))
-        assert canonical_form(again) == recorded["canonical"]
 
-    def test_v3_flat_checkpoint_resumes_to_the_cold_fixpoint(self):
-        text = (FIXTURES / "v3_flat_checkpoint.json").read_text()
+    def test_v4_flat_checkpoint_reaches_cold_fixpoint(self):
+        text = (FIXTURES / "v4_flat_checkpoint.json").read_text()
         data = json.loads(text)
-        assert data["version"] == 3 and data["core"] == "flat"
+        assert data["version"] == FORMAT_VERSION and data["core"] == "flat"
         assert data["merged"] and data["pending"] and data["met"]
-        recorded = _forms()["v3_flat_checkpoint"]
+        names = [Variable(name) for name in data["variables"]]
+        it = iter(data["merged"])
+        merged = [(names[loser], names[rep]) for loser, rep in zip(it, it)]
+        recorded = _forms()["v4_flat_checkpoint"]
         cold = canonical_form(_cold_flat())
         assert recorded["fixpoint"] == cold
         for core in CORES:
@@ -290,14 +290,14 @@ class TestCompatibilityFixtures:
             assert isinstance(loaded, CORES[core])
             assert loaded.pending_count() == recorded["pending"]
             assert canonical_form(loaded) == recorded["canonical"]
-            for loser, rep in data["merged"].items():
-                assert loaded.find(Variable(loser)) == Variable(rep)
+            for loser, rep in merged:
+                assert loaded.find(loser) == rep
             loaded.resume()
             assert loaded.pending_count() == 0
             assert canonical_form(loaded) == cold
 
     def test_checkpoint_fixture_matches_todays_interrupted_solve(self):
-        recorded = _forms()["v3_flat_checkpoint"]
+        recorded = _forms()["v4_flat_checkpoint"]
         flat = _interrupted_flat()
         assert canonical_form(flat) == recorded["canonical"]
         assert flat.pending_count() == recorded["pending"]
@@ -324,19 +324,26 @@ class TestTampering:
         with pytest.raises(ValueError, match="pending"):
             load_solver(json.dumps(data))
 
+    @pytest.mark.parametrize("version", [1, 2, 3, 5])
+    def test_other_versions_are_refused(self, version):
+        data = json.loads(dump_solver(object_system()))
+        data["version"] = version
+        with pytest.raises(ValueError, match=f"unsupported dump version {version}"):
+            load_solver(json.dumps(data))
+
 
 if __name__ == "__main__":  # pragma: no cover - fixture regeneration
     FIXTURES.mkdir(exist_ok=True)
     solver = object_system()
-    (FIXTURES / "v2_object.json").write_text(dump_solver(solver) + "\n")
+    (FIXTURES / "v4_object.json").write_text(dump_solver(solver) + "\n")
     flat = _interrupted_flat()
-    (FIXTURES / "v3_flat_checkpoint.json").write_text(dump_solver(flat) + "\n")
+    (FIXTURES / "v4_flat_checkpoint.json").write_text(dump_solver(flat) + "\n")
     forms = {
-        "v2_object": {
+        "v4_object": {
             "canonical": canonical_form(solver),
             "fact_count": solver.fact_count(),
         },
-        "v3_flat_checkpoint": {
+        "v4_flat_checkpoint": {
             "canonical": canonical_form(flat),
             "pending": flat.pending_count(),
             "fixpoint": canonical_form(_cold_flat()),
